@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -74,20 +73,6 @@ class Budget {
   bool armed_ = false;
   bool exhausted_ = false;
   std::string reason_;
-};
-
-/// Shared state of one per-path trajectory rung across escalation waves:
-/// the serialization caps (derived once, exactly like
-/// AnalysisEngine::run_trajectory derives them, so escalated bounds are
-/// bit-identical to engine.trajectory_only), one shared prefix cache, and
-/// one lazily-built analyzer per pool worker.
-struct TrajectoryRungState {
-  trajectory::Options opts;
-  bool caps_ready = false;
-  std::optional<std::vector<Microseconds>> caps;
-  std::shared_ptr<trajectory::PrefixCache> pcache =
-      std::make_shared<trajectory::PrefixCache>();
-  std::vector<std::unique_ptr<trajectory::Analyzer>> local;
 };
 
 /// Applies one rung's freshly computed raw bounds for `targets` to the
@@ -216,76 +201,23 @@ void BoundLadder::register_standard_rungs(const LadderOptions& options) {
         .compute_paths = nullptr,
     });
   }
-  // The trajectory rungs support per-path escalation. Both share the
-  // same machinery; they differ only in the serialization flag (and so in
-  // their caps context and prefix-cache identity).
+  // The trajectory rungs support per-path escalation through the engine;
+  // they differ only in the serialization flag.
   const auto make_trajectory_rung = [this, &options, &set, base](
                                         Rung id, bool serialization,
                                         double cost_factor) {
     trajectory::Options tj = options.trajectory;
     tj.serialization = serialization;
-    auto state = std::make_shared<TrajectoryRungState>();
-    state->opts = tj;
-    auto compute_paths = [this, state](const std::vector<std::size_t>& targets,
-                                       std::vector<Microseconds>& out) {
-      const std::vector<VlPath>& all = cfg_.all_paths();
-      // Serialization caps from the shared default-options WCNC run --
-      // derived exactly like AnalysisEngine::run_trajectory so the
-      // escalated bounds are bit-identical to engine.trajectory_only.
-      if (!state->caps_ready) {
-        state->caps_ready = true;
-        if (state->opts.serialization) {
-          state->caps.emplace(cfg_.network().link_count(), kInf);
-          try {
-            const netcalc::Result nc = engine_->netcalc_only(netcalc::Options{});
-            for (LinkId l = 0; l < cfg_.network().link_count(); ++l) {
-              if (nc.ports[l].used) {
-                (*state->caps)[l] =
-                    nc.ports[l].queue_backlog / cfg_.network().link(l).rate;
-              }
-            }
-          } catch (const Error&) {
-            // Unstable port: fall back to uncapped, like the engine.
-          }
-        }
-      }
-      // Work items are whole VLs (paths of one VL share their prefix
-      // recursion); bounds are pure functions of (config, options, caps),
-      // so work stealing stays bit-identical.
-      std::vector<VlId> vl_order;
-      std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-      for (std::size_t i : targets) {
-        if (vl_paths[all[i].vl].empty()) vl_order.push_back(all[i].vl);
-        vl_paths[all[i].vl].push_back(i);
-      }
-      engine::ThreadPool& pool = engine_->pool();
-      state->local.resize(static_cast<std::size_t>(pool.thread_count()));
-      pool.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
-        auto& analyzer = state->local[static_cast<std::size_t>(w)];
-        if (!analyzer) {
-          analyzer = std::make_unique<trajectory::Analyzer>(cfg_, state->opts);
-          if (state->caps.has_value()) {
-            analyzer->set_backlog_caps(*state->caps);
-          }
-          analyzer->set_prefix_cache(state->pcache.get());
-        }
-        for (std::size_t i : vl_paths[vl_order[k]]) {
-          out[i] = analyzer->bound_to_link(all[i].vl, all[i].links.back());
-        }
-      });
-    };
-    RungDef def;
-    def.id = id;
-    def.cost_estimate = [base, cost_factor] { return base * cost_factor; };
-    def.compute = [this, compute_paths] {
-      std::vector<std::size_t> everything(cfg_.all_paths().size());
-      std::iota(everything.begin(), everything.end(), std::size_t{0});
-      std::vector<Microseconds> out(everything.size(), kInf);
-      compute_paths(everything, out);
-      return out;
-    };
-    def.compute_paths = compute_paths;
-    set(std::move(def));
+    set(RungDef{
+        .id = id,
+        .cost_estimate = [base, cost_factor] { return base * cost_factor; },
+        .compute = [this, tj] { return engine_->trajectory_only(tj); },
+        .compute_paths =
+            [this, tj](const std::vector<std::size_t>& targets,
+                       std::vector<Microseconds>& out) {
+              engine_->trajectory_paths(targets, tj, out);
+            },
+    });
   };
   make_trajectory_rung(Rung::kTrajectory, /*serialization=*/false, 6.0);
   make_trajectory_rung(Rung::kTrajectoryPruned, /*serialization=*/true, 8.0);

@@ -4,15 +4,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <iomanip>
-#include <memory>
-#include <limits>
-#include <mutex>
-#include <optional>
-#include <ostream>
-#include <unordered_map>
-
 #include <ctime>
+#include <limits>
+#include <memory>
+#include <mutex>
+#include <numeric>
+#include <optional>
 
 #include "common/error.hpp"
 #include "engine/incremental.hpp"
@@ -61,12 +58,6 @@ double safe_paths_per_second(std::size_t paths, Microseconds wall_us) {
   return static_cast<double>(paths) / (wall_us * 1e-6);
 }
 
-/// 0.0 instead of NaN/inf for degenerate inputs, keeping printed metrics
-/// sane on trivial runs.
-double finite_or_zero(double value) {
-  return std::isfinite(value) ? value : 0.0;
-}
-
 // Tripwire: trajectory_options_key below must fingerprint EVERY field of
 // trajectory::Options, same contract as PortCache::options_key.
 static_assert(sizeof(trajectory::Options) == 8,
@@ -111,202 +102,152 @@ std::uint64_t caps_signature(
   return h;
 }
 
+bool expired(const CancelToken* cancel) {
+  return cancel != nullptr && cancel->expired();
+}
+
+/// "source>dest" name of an output port, for status messages.
+std::string port_name(const TrafficConfig& cfg, LinkId l) {
+  const Network& net = cfg.network();
+  return net.node(net.link(l).source).name + ">" +
+         net.node(net.link(l).dest).name;
+}
+
 }  // namespace
-
-const char* to_string(PathState state) noexcept {
-  switch (state) {
-    case PathState::kOk:
-      return "ok";
-    case PathState::kFailed:
-      return "failed";
-    case PathState::kSkipped:
-      return "skipped";
-  }
-  return "unknown";
-}
-
-bool RunResult::complete() const noexcept {
-  for (const PathStatus& s : status) {
-    if (!s.ok()) return false;
-  }
-  return true;
-}
-
-void RunMetrics::print(std::ostream& out) const {
-  const auto flags = out.flags();
-  const auto precision = out.precision();
-  out << std::fixed << std::setprecision(3);
-  out << "engine: " << threads << " thread" << (threads == 1 ? "" : "s")
-      << ", " << paths << " paths, " << std::setprecision(0)
-      << finite_or_zero(paths_per_second) << " paths/s\n"
-      << std::setprecision(3) << "  wall ms: netcalc "
-      << netcalc_wall_us / 1000.0 << " | trajectory "
-      << trajectory_wall_us / 1000.0 << " | combine "
-      << combine_wall_us / 1000.0 << " | total " << total_wall_us / 1000.0
-      << "\n"
-      << "  cpu ms: " << total_cpu_us / 1000.0 << " ("
-      << std::setprecision(2)
-      << finite_or_zero(total_wall_us > 0.0 ? total_cpu_us / total_wall_us
-                                            : 0.0)
-      << "x parallelism)\n"
-      << std::setprecision(3) << "  levels: " << levels << " (max width "
-      << max_level_width << ")\n"
-      << "  port cache: " << cache.hits << " hits / " << cache.misses
-      << " misses (" << std::setprecision(1)
-      << finite_or_zero(cache.hit_rate()) * 100.0 << " % hit rate, "
-      << cache.seeded << " seeded, " << cache.evicted << " evicted)\n"
-      << "  prefix cache: " << prefix.hits << " hits / " << prefix.misses
-      << " misses (" << finite_or_zero(prefix.hit_rate()) * 100.0
-      << " % hit rate, " << prefix.seeded << " seeded)\n"
-      << "  steals: " << steals << "\n";
-  if (!shards.empty()) {
-    out << "  shards:";
-    for (const ShardMetrics& s : shards) {
-      out << " [" << s.vls << " vls, " << s.paths << " paths, "
-          << finite_or_zero(s.hit_rate()) * 100.0 << " % memo hits]";
-    }
-    out << "\n";
-  }
-  if (incremental.attempted) {
-    if (incremental.full_fallback) {
-      out << "  incremental: full fallback ("
-          << incremental.fallback_reason << ")\n";
-    } else {
-      out << "  incremental: " << incremental.changed_links
-          << " changed links -> " << incremental.dirty_ports
-          << " dirty ports, " << incremental.seeded_ports
-          << " ports + " << incremental.seeded_prefixes
-          << " prefixes seeded, " << incremental.transplanted_paths
-          << " paths transplanted\n";
-    }
-  }
-  out << "  tasks/thread:";
-  for (std::size_t n : tasks_per_thread) out << " " << n;
-  out << "\n";
-  out.flags(flags);
-  out.precision(precision);
-}
 
 AnalysisEngine::AnalysisEngine(const TrafficConfig& config, Options options)
     : cfg_(config), pool_(ThreadPool::resolve_thread_count(options.threads)) {}
 
-netcalc::Result AnalysisEngine::run_netcalc(const netcalc::Options& options) {
+AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
+    const netcalc::Options& options, const CancelToken* cancel) {
   AFDX_TRACE_SPAN("engine.netcalc", "engine");
   const std::size_t n_links = cfg_.network().link_count();
-  const std::uint64_t okey = PortCache::options_key(options);
+  WcncPass pass;
+  pass.options_key = PortCache::options_key(options);
+  pass.result.ports.assign(n_links, netcalc::PortReport{});
+  pass.result.iterations = 1;
+  pass.ports.assign(n_links, PortOutcome{});
   metrics_.levels = 0;
   metrics_.max_level_width = 0;
 
-  netcalc::Result result;
-  result.ports.assign(n_links, netcalc::PortReport{});
-  netcalc::DelayTable delays(cfg_);
-
   const auto levels = netcalc::propagation_levels(cfg_);
   if (!levels.has_value()) {
-    // Cyclic configuration: the fixed point is inherently sequential.
-    // Serve fully-cached reruns from the per-port cache; otherwise run the
-    // serial analyzer once and memoize its converged bounds.
-    std::vector<LinkId> used_ports;
-    for (LinkId l = 0; l < n_links; ++l) {
-      if (!cfg_.vls_on_link(l).empty()) used_ports.push_back(l);
-    }
-    const auto rounds = iterations_.find(okey);
-    if (rounds != iterations_.end() && cache_.covers(okey, used_ports)) {
-      for (LinkId port : used_ports) {
-        const auto bounds = cache_.lookup(okey, port);
-        delays.assign(port, bounds->level_delays);
-        result.ports[port] =
-            netcalc::make_report(*bounds, cfg_.utilization(port));
+    // Cyclic configuration: the fixed point is inherently sequential and
+    // all-or-nothing, so the serial analyzer runs the whole pass and
+    // containment degrades to whole-pass granularity.
+    const auto mark_used = [&](PathState state, const std::string& message) {
+      for (LinkId l = 0; l < n_links; ++l) {
+        if (!cfg_.vls_on_link(l).empty()) {
+          pass.ports[l] = PortOutcome{state, message};
+        }
       }
-      result.iterations = rounds->second;
-      result.path_bounds = netcalc::path_bounds_from(cfg_, delays);
-      return result;
+      pass.result.iterations = 0;
+    };
+    if (expired(cancel)) {
+      mark_used(PathState::kSkipped, cancel->reason());
+      return pass;
     }
-    result = netcalc::analyze(cfg_, options);
-    for (LinkId port : used_ports) {
-      const netcalc::PortReport& r = result.ports[port];
-      cache_.store(okey, port,
-                   netcalc::PortBounds{r.level_delays, r.backlog,
-                                       r.queue_backlog});
+    try {
+      netcalc::Result full = netcalc::analyze(cfg_, options);
+      pass.result.ports = std::move(full.ports);
+      pass.result.iterations = full.iterations;
+    } catch (const std::exception& e) {
+      mark_used(PathState::kFailed, e.what());
     }
-    iterations_[okey] = result.iterations;
-    return result;
+    return pass;
   }
 
-  // Feed-forward: propagate level by level; ports of one level have no
-  // mutual dependency, so each level is chunked dynamically across the
-  // pool (work stealing). Results land in per-port slots, making the pass
-  // order-independent and bit-identical to the serial analyzer.
+  // Feed-forward: ports of one level have no mutual dependency, so each
+  // level is chunked dynamically across the pool (work stealing). Results
+  // land in per-port slots, making the pass order-independent and
+  // bit-identical to the serial analyzer.
   metrics_.levels = levels->size();
   static obs::Histogram& level_width =
       obs::registry().histogram("engine.level.width");
   const netcalc::PortFlowIndex& index = flow_index();
   std::vector<netcalc::PortBounds> bounds(n_links);
+  netcalc::DelayTable delays(cfg_);
+  bool abandoned = false;
   for (const std::vector<LinkId>& level : *levels) {
-    AFDX_TRACE_SPAN("engine.netcalc.level", "engine");
-    level_width.observe(level.size());
     metrics_.max_level_width = std::max(metrics_.max_level_width,
                                         level.size());
-    pool_.parallel_for_dynamic(level.size(), [&](std::size_t i, int) {
-      const LinkId port = level[i];
-      if (auto hit = cache_.lookup(okey, port); hit.has_value()) {
-        bounds[port] = std::move(*hit);
-      } else {
-        bounds[port] =
-            netcalc::compute_port_bounds(cfg_, port, options, delays, index);
-        cache_.store(okey, port, bounds[port]);
+    if (!abandoned && expired(cancel)) abandoned = true;
+    if (abandoned) {
+      for (LinkId port : level) {
+        pass.ports[port] = PortOutcome{PathState::kSkipped, cancel->reason()};
       }
-    });
+      continue;
+    }
+    AFDX_TRACE_SPAN("engine.netcalc.level", "engine");
+    level_width.observe(level.size());
+
+    // Dependency screen (serial; only reads outcomes of earlier levels): a
+    // port whose crossing VLs arrive via a failed or skipped port cannot be
+    // computed -- its inputs are unknown -- and is skipped, which in turn
+    // taints everything downstream of it.
+    std::vector<LinkId> compute;
+    compute.reserve(level.size());
     for (LinkId port : level) {
+      LinkId bad = kInvalidLink;
+      for (VlId v : cfg_.vls_on_link(port)) {
+        const LinkId pred = cfg_.route(v).predecessor(port);
+        if (pred != kInvalidLink && pass.ports[pred].state != PathState::kOk) {
+          bad = pred;
+          break;
+        }
+      }
+      if (bad != kInvalidLink) {
+        pass.ports[port] = PortOutcome{
+            PathState::kSkipped, "upstream port " + port_name(cfg_, bad) +
+                                     " unavailable (" +
+                                     to_string(pass.ports[bad].state) + ")"};
+      } else {
+        compute.push_back(port);
+      }
+    }
+
+    const auto failures = pool_.parallel_for_dynamic_contained(
+        compute.size(), [&](std::size_t i, int) {
+          const LinkId port = compute[i];
+          if (auto hit = cache_.lookup(pass.options_key, port);
+              hit.has_value()) {
+            bounds[port] = std::move(*hit);
+          } else {
+            bounds[port] = netcalc::compute_port_bounds(cfg_, port, options,
+                                                        delays, index);
+            cache_.store(pass.options_key, port, bounds[port]);
+          }
+        });
+    for (const ThreadPool::TaskFailure& f : failures) {
+      pass.ports[compute[f.index]] =
+          PortOutcome{PathState::kFailed, f.message};
+    }
+    for (LinkId port : level) {
+      if (pass.ports[port].state != PathState::kOk) continue;
       delays.assign(port, bounds[port].level_delays);
-      result.ports[port] =
+      pass.result.ports[port] =
           netcalc::make_report(bounds[port], cfg_.utilization(port));
     }
   }
-  result.iterations = 1;
-  result.path_bounds = netcalc::path_bounds_from(cfg_, delays);
-  return result;
+  return pass;
 }
 
 AnalysisEngine::TrajectoryContext AnalysisEngine::resolve_trajectory_context(
-    const trajectory::Options& options, const netcalc::Result* nc_result,
-    const std::vector<PortOutcome>* nc_ports) {
+    const trajectory::Options& options, const WcncPass* pass,
+    const CancelToken* cancel) {
   TrajectoryContext ctx;
   ctx.options = options;
-  const std::size_t n_links = cfg_.network().link_count();
   if (options.serialization) {
-    ctx.caps.emplace(n_links, kInf);
-    if (nc_result == nullptr) {
-      // Serialization caps from the shared default-options WCNC run -- the
-      // same envelopes Analyzer::backlog_caps() would derive per instance.
-      try {
-        const netcalc::Result nc = run_netcalc(netcalc::Options{});
-        for (LinkId l = 0; l < n_links; ++l) {
-          if (nc.ports[l].used) {
-            (*ctx.caps)[l] =
-                nc.ports[l].queue_backlog / cfg_.network().link(l).rate;
-          }
-        }
-      } catch (const Error&) {
-        // The envelope analysis fails only on unstable ports, where the
-        // busy period diverges anyway; fall back to uncapped, exactly like
-        // the legacy analyzer.
-      }
+    if (pass != nullptr &&
+        pass->options_key == PortCache::options_key(netcalc::Options{})) {
+      ctx.caps = trajectory::serialization_caps(cfg_, pass->result);
     } else {
-      // Caps from the contained WCNC pass: ports that failed or were
-      // skipped stay uncapped (an infinite cap is simply no refinement).
-      for (LinkId l = 0; l < n_links; ++l) {
-        if ((*nc_ports)[l].state == PathState::kOk &&
-            nc_result->ports[l].used) {
-          (*ctx.caps)[l] =
-              nc_result->ports[l].queue_backlog / cfg_.network().link(l).rate;
-        }
-      }
+      ctx.caps = trajectory::serialization_caps(
+          cfg_, run_wcnc(netcalc::Options{}, cancel).result);
     }
   }
   ctx.tj_key = trajectory_options_key(options);
-  ctx.caps_sig = caps_signature(ctx.caps);
-  ctx.pcache = prefix_cache_for(ctx.tj_key, ctx.caps_sig);
+  ctx.pcache = prefix_cache_for(ctx.tj_key, caps_signature(ctx.caps));
   return ctx;
 }
 
@@ -339,325 +280,105 @@ const std::vector<VlId>& AnalysisEngine::locality_vl_order() {
   return *locality_order_;
 }
 
-std::vector<Microseconds> AnalysisEngine::run_trajectory(
-    const TrajectoryContext& ctx) {
+void AnalysisEngine::bound_paths(const TrajectoryContext& ctx,
+                                 const std::vector<std::size_t>* targets,
+                                 const IncrementalReuse& reuse,
+                                 const CancelToken* cancel,
+                                 const PathVisit& visit) {
   AFDX_TRACE_SPAN("engine.trajectory", "engine");
   const std::vector<VlPath>& paths = cfg_.all_paths();
-  std::vector<Microseconds> out(paths.size(), 0.0);
 
-  // Baseline prefixes queued by run_incremental are transplanted into the
-  // run's shared cache first.
-  const std::shared_ptr<trajectory::PrefixCache>& pcache = ctx.pcache;
-  for (const PrefixSeed& s : pending_prefix_seeds_) {
-    pcache->seed(s.vl, s.link, s.bound);
-  }
-  pending_prefix_seeds_.clear();
-  pending_path_transplants_.clear();
-  last_prefix_cache_ = pcache;
-
-  // Work items are whole VLs in locality order: paths of one VL share
-  // their prefix recursion, so keeping a VL in one chunk preserves the
-  // analyzer's local memoization, and route-sorted neighbours make the
-  // chunk cover one topology neighbourhood. Every bound is a pure
-  // function of (configuration, options, caps), so dynamic (stolen)
-  // assignment of VLs to workers stays bit-identical.
-  std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    vl_paths[paths[i].vl].push_back(i);
-  }
-  const std::vector<VlId>& vl_order = locality_vl_order();
-
-  struct Shard {
-    std::unique_ptr<trajectory::Analyzer> analyzer;
-    std::size_t vls = 0;
-    std::size_t paths_done = 0;
-  };
-  std::vector<Shard> local(static_cast<std::size_t>(pool_.thread_count()));
-  pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
-    Shard& shard = local[static_cast<std::size_t>(w)];
-    if (!shard.analyzer) {
-      AFDX_TRACE_SPAN("engine.trajectory.shard", "engine");
-      shard.analyzer = std::make_unique<trajectory::Analyzer>(cfg_, ctx.options);
-      if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
-      shard.analyzer->set_prefix_cache(pcache.get());
-    }
-    ++shard.vls;
-    for (std::size_t i : vl_paths[vl_order[k]]) {
-      out[i] = shard.analyzer->bound_to_link(paths[i].vl, paths[i].links.back());
-      ++shard.paths_done;
-    }
-  });
-
-  metrics_.shards.clear();
-  for (const Shard& shard : local) {
-    if (!shard.analyzer) continue;
-    const trajectory::Analyzer::CacheCounters& c = shard.analyzer->counters();
-    metrics_.shards.push_back(ShardMetrics{shard.vls, shard.paths_done,
-                                           c.lookups, c.local_hits,
-                                           c.shared_hits});
-  }
-  return out;
-}
-
-RunResult AnalysisEngine::run(const netcalc::Options& nc_options,
-                              const trajectory::Options& tj_options) {
-  AFDX_TRACE_SPAN("engine.run", "engine");
-  RunResult result;
-  const CacheStats cache0 = cache_.stats();
-  const trajectory::PrefixCacheStats prefix0 = prefix_stats_total();
-  const auto t0 = Clock::now();
-  const Microseconds cpu0 = cpu_now_us();
-  result.netcalc_result = run_netcalc(nc_options);
-  result.netcalc = result.netcalc_result.path_bounds;
-  const auto t1 = Clock::now();
-  const TrajectoryContext tj_ctx =
-      resolve_trajectory_context(tj_options, nullptr, nullptr);
-  result.trajectory = run_trajectory(tj_ctx);
-  const auto t2 = Clock::now();
-  AFDX_ASSERT(result.netcalc.size() == result.trajectory.size(),
-              "engine: method results misaligned");
-  {
-    AFDX_TRACE_SPAN("engine.combine", "engine");
-    result.combined.reserve(result.netcalc.size());
-    for (std::size_t i = 0; i < result.netcalc.size(); ++i) {
-      result.combined.push_back(
-          std::min(result.netcalc[i], result.trajectory[i]));
+  // Baseline prefixes are seeded only when the WCNC pass ran to its
+  // natural end: once the token expired, the caps may be uncapped
+  // placeholders rather than the baseline's values, which would poison
+  // the persistent cache.
+  if (!expired(cancel)) {
+    for (const IncrementalReuse::Prefix& s : reuse.prefixes) {
+      ctx.pcache->seed(s.vl, s.link, s.bound);
     }
   }
-  const auto t3 = Clock::now();
-
-  metrics_.netcalc_wall_us += elapsed_us(t0, t1);
-  metrics_.trajectory_wall_us += elapsed_us(t1, t2);
-  metrics_.combine_wall_us += elapsed_us(t2, t3);
-  metrics_.total_wall_us += elapsed_us(t0, t3);
-  metrics_.total_cpu_us += cpu_now_us() - cpu0;
-  metrics_.paths = result.combined.size();
-  metrics_.paths_per_second =
-      safe_paths_per_second(metrics_.paths, elapsed_us(t0, t3));
-  observe_phase_us("netcalc", elapsed_us(t0, t1));
-  observe_phase_us("trajectory", elapsed_us(t1, t2));
-  observe_phase_us("combine", elapsed_us(t2, t3));
-  obs::registry().counter("engine.runs").add();
-  obs::registry().counter("engine.paths").add(result.combined.size());
-  metrics_.cache_run = cache_.stats() - cache0;
-  metrics_.prefix_run = prefix_stats_total() - prefix0;
-  result.status.assign(result.combined.size(), PathStatus{});
-  result.nc_options_key = PortCache::options_key(nc_options);
-  result.tj_options_key = tj_ctx.tj_key;
-  result.prefixes = last_prefix_cache_;
-  result.metrics = metrics();
-  return result;
-}
-
-netcalc::Result AnalysisEngine::run_netcalc_contained(
-    const netcalc::Options& options, const RunControl& control,
-    std::vector<PortOutcome>& ports) {
-  AFDX_TRACE_SPAN("engine.netcalc.contained", "engine");
-  const Network& net = cfg_.network();
-  const std::size_t n_links = net.link_count();
-
-  netcalc::Result result;
-  result.ports.assign(n_links, netcalc::PortReport{});
-  result.iterations = 1;
-  ports.assign(n_links, PortOutcome{});
-
-  const auto port_name = [&](LinkId l) {
-    return net.node(net.link(l).source).name + ">" +
-           net.node(net.link(l).dest).name;
-  };
-  const auto mark_all_used = [&](PathState state, const std::string& msg) {
-    for (LinkId l = 0; l < n_links; ++l) {
-      if (!cfg_.vls_on_link(l).empty()) ports[l] = PortOutcome{state, msg};
-    }
-  };
-  const auto expired = [&] {
-    return control.cancel != nullptr && control.cancel->expired();
-  };
-
-  const auto levels = netcalc::propagation_levels(cfg_);
-  if (!levels.has_value()) {
-    // Cyclic configuration: the fixed point is inherently all-or-nothing,
-    // so containment degrades to whole-phase granularity.
-    if (expired()) {
-      mark_all_used(PathState::kSkipped, control.cancel->reason());
-      result.iterations = 0;
-      return result;
-    }
-    try {
-      return run_netcalc(options);
-    } catch (const std::exception& e) {
-      mark_all_used(PathState::kFailed, e.what());
-      result.iterations = 0;
-      return result;
-    }
-  }
-
-  const std::uint64_t okey = PortCache::options_key(options);
-  const netcalc::PortFlowIndex& index = flow_index();
-  std::vector<netcalc::PortBounds> bounds(n_links);
-  netcalc::DelayTable delays(cfg_);
-  bool abandoned = false;
-  for (const std::vector<LinkId>& level : *levels) {
-    if (!abandoned && expired()) abandoned = true;
-    if (abandoned) {
-      for (LinkId port : level) {
-        ports[port] = PortOutcome{PathState::kSkipped,
-                                  control.cancel->reason()};
-      }
-      continue;
-    }
-
-    // Dependency screen (serial; only reads outcomes of earlier levels): a
-    // port whose crossing VLs arrive via a failed or skipped port cannot be
-    // computed -- its inputs are unknown -- and is skipped, which in turn
-    // taints everything downstream of it.
-    std::vector<LinkId> compute;
-    compute.reserve(level.size());
-    for (LinkId port : level) {
-      LinkId bad = kInvalidLink;
-      for (VlId v : cfg_.vls_on_link(port)) {
-        const LinkId pred = cfg_.route(v).predecessor(port);
-        if (pred != kInvalidLink && ports[pred].state != PathState::kOk) {
-          bad = pred;
-          break;
-        }
-      }
-      if (bad != kInvalidLink) {
-        ports[port] = PortOutcome{
-            PathState::kSkipped, "upstream port " + port_name(bad) +
-                                     " unavailable (" +
-                                     to_string(ports[bad].state) + ")"};
-      } else {
-        compute.push_back(port);
-      }
-    }
-
-    const auto failures = pool_.parallel_for_dynamic_contained(
-        compute.size(), [&](std::size_t i, int) {
-          const LinkId port = compute[i];
-          if (auto hit = cache_.lookup(okey, port); hit.has_value()) {
-            bounds[port] = std::move(*hit);
-          } else {
-            bounds[port] = netcalc::compute_port_bounds(cfg_, port, options,
-                                                        delays, index);
-            cache_.store(okey, port, bounds[port]);
-          }
-        });
-    for (const ThreadPool::TaskFailure& f : failures) {
-      ports[compute[f.index]] = PortOutcome{PathState::kFailed, f.message};
-    }
-    for (LinkId port : level) {
-      if (ports[port].state != PathState::kOk) continue;
-      delays.assign(port, bounds[port].level_delays);
-      result.ports[port] =
-          netcalc::make_report(bounds[port], cfg_.utilization(port));
-    }
-  }
-  return result;
-}
-
-std::vector<Microseconds> AnalysisEngine::run_trajectory_contained(
-    const TrajectoryContext& ctx, const RunControl& control,
-    std::vector<PathStatus>& path_status) {
-  AFDX_TRACE_SPAN("engine.trajectory.contained", "engine");
-  const std::vector<VlPath>& paths = cfg_.all_paths();
-  std::vector<Microseconds> out(paths.size(), kInf);
-  path_status.assign(paths.size(), PathStatus{});
-
-  // Queued baseline prefixes are only transplanted into the run's shared
-  // cache when the WCNC phase ran to its natural end: an expired cancel
-  // token means the context's caps may be uncapped placeholders rather
-  // than the baseline's values, which would poison the persistent cache.
-  // (A port-level WCNC failure cannot get here seeded wrong: seeded clean
-  // ports always hit the cache.)
-  const std::shared_ptr<trajectory::PrefixCache>& pcache = ctx.pcache;
-  const bool expired = control.cancel != nullptr && control.cancel->expired();
-  if (!expired) {
-    for (const PrefixSeed& s : pending_prefix_seeds_) {
-      pcache->seed(s.vl, s.link, s.bound);
-    }
-  }
-  pending_prefix_seeds_.clear();
-  last_prefix_cache_ = pcache;
+  last_prefix_cache_ = ctx.pcache;
 
   // Paths fully outside the dirty cone keep their baseline trajectory
   // bound verbatim: every input of their recursion (own route, competing
   // VLs, their upstream chains, the serialization caps of every port
-  // involved) is bit-identical by the dirty closure, so recomputing could
-  // only reproduce the same number. Skipping them makes a small-cone
-  // what-if cost proportional to its cone, not to the network.
-  std::vector<char> transplanted(paths.size(), 0);
-  for (const PathTransplant& t : pending_path_transplants_) {
-    out[t.path] = t.trajectory;
+  // involved) is bit-identical by the dirty closure. Skipping them makes a
+  // small-cone what-if cost its cone, not the network.
+  std::vector<char> transplanted(reuse.paths.empty() ? 0 : paths.size(), 0);
+  for (const IncrementalReuse::Path& t : reuse.paths) {
     transplanted[t.path] = 1;
+    visit(t.path, t.trajectory, PathStatus{});
   }
-  pending_path_transplants_.clear();
 
-  // Locality-ordered VL work items; VLs whose every path was transplanted
-  // drop out before any shard would touch them.
+  // Work items are whole VLs in locality order: paths of one VL share
+  // their prefix recursion, so keeping a VL in one chunk preserves the
+  // analyzer's local memoization. Every bound is a pure function of
+  // (configuration, options, caps), so dynamic (stolen) assignment of VLs
+  // to workers stays bit-identical.
   std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (transplanted[i]) continue;
-    vl_paths[paths[i].vl].push_back(i);
+  const auto add = [&](std::size_t i) {
+    if (transplanted.empty() || !transplanted[i]) {
+      vl_paths[paths[i].vl].push_back(i);
+    }
+  };
+  if (targets == nullptr) {
+    for (std::size_t i = 0; i < paths.size(); ++i) add(i);
+  } else {
+    for (std::size_t i : *targets) {
+      AFDX_REQUIRE(i < paths.size(),
+                   "trajectory_paths: path index out of range");
+      add(i);
+    }
   }
-  const std::vector<VlId>& order_all = locality_vl_order();
   std::vector<VlId> vl_order;
-  vl_order.reserve(order_all.size());
-  for (VlId v : order_all) {
+  for (VlId v : locality_vl_order()) {
     if (!vl_paths[v].empty()) vl_order.push_back(v);
   }
 
-  // Per-worker analyzer state for the work-stealing loop. A throw
-  // mid-recursion leaves the analyzer consistent -- the in-progress
-  // markers unwind with the stack (RAII) and the memo only ever holds
-  // successfully computed bounds -- so the worker keeps its instance (and
+  // A throw mid-recursion leaves the analyzer consistent -- the
+  // in-progress markers unwind with the stack and the memo only ever holds
+  // successfully computed bounds -- so a worker keeps its analyzer (and
   // its memo) across contained per-path failures.
   struct Shard {
     std::optional<trajectory::Analyzer> analyzer;
     std::string construct_error;
-    bool alive = false;
     bool initialized = false;
     std::size_t vls = 0;
     std::size_t paths_done = 0;
   };
   std::vector<Shard> local(static_cast<std::size_t>(pool_.thread_count()));
-  const auto fresh = [&](Shard& shard) {
-    try {
-      shard.analyzer.emplace(cfg_, ctx.options);
-      if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
-      shard.analyzer->set_prefix_cache(pcache.get());
-      shard.alive = true;
-    } catch (const std::exception& e) {
-      shard.construct_error = e.what();
-      shard.alive = false;
-    }
-  };
-  // The body never throws (all analysis errors are contained per path), so
-  // the plain dynamic loop is enough.
   pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
     Shard& shard = local[static_cast<std::size_t>(w)];
     if (!shard.initialized) {
+      AFDX_TRACE_SPAN("engine.trajectory.shard", "engine");
       shard.initialized = true;
-      fresh(shard);
+      try {
+        shard.analyzer.emplace(cfg_, ctx.options);
+        if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
+        shard.analyzer->set_prefix_cache(ctx.pcache.get());
+      } catch (const std::exception& e) {
+        shard.analyzer.reset();
+        shard.construct_error = e.what();
+      }
     }
     ++shard.vls;
     for (std::size_t i : vl_paths[vl_order[k]]) {
-      if (control.cancel != nullptr && control.cancel->expired()) {
-        path_status[i] =
-            PathStatus{PathState::kSkipped, control.cancel->reason()};
-        continue;
+      PathStatus status;
+      Microseconds bound = kInf;
+      if (expired(cancel)) {
+        status = PathStatus{PathState::kSkipped, cancel->reason()};
+      } else if (!shard.analyzer.has_value()) {
+        status = PathStatus{PathState::kFailed, shard.construct_error};
+      } else {
+        try {
+          bound = shard.analyzer->bound_to_link(paths[i].vl,
+                                                paths[i].links.back());
+          ++shard.paths_done;
+        } catch (const std::exception& e) {
+          status = PathStatus{PathState::kFailed, e.what()};
+        }
       }
-      if (!shard.alive) {
-        path_status[i] = PathStatus{PathState::kFailed, shard.construct_error};
-        continue;
-      }
-      try {
-        out[i] =
-            shard.analyzer->bound_to_link(paths[i].vl, paths[i].links.back());
-        ++shard.paths_done;
-      } catch (const std::exception& e) {
-        path_status[i] = PathStatus{PathState::kFailed, e.what()};
-      }
+      visit(i, bound, status);
     }
   });
 
@@ -669,306 +390,191 @@ std::vector<Microseconds> AnalysisEngine::run_trajectory_contained(
                                            c.lookups, c.local_hits,
                                            c.shared_hits});
   }
+}
+
+Microseconds AnalysisEngine::wcnc_path_bound(std::size_t path,
+                                             const WcncPass& pass,
+                                             PathStatus& status) const {
+  const VlPath& p = cfg_.all_paths()[path];
+  const std::uint8_t level = cfg_.vl(p.vl).priority;
+  Microseconds total = 0.0;
+  for (LinkId l : p.links) {
+    const PortOutcome& port = pass.ports[l];
+    if (port.state != PathState::kOk) {
+      status = PathStatus{
+          port.state, "wcnc: port " + port_name(cfg_, l) + " " +
+                          to_string(port.state) +
+                          (port.message.empty() ? "" : ": " + port.message)};
+      return kInf;
+    }
+    const auto& delays = pass.result.ports[l].level_delays;
+    const auto it = delays.find(level);
+    AFDX_ASSERT(it != delays.end(), "engine: missing level delay");
+    total += it->second;
+  }
+  return total;
+}
+
+StreamPathResult AnalysisEngine::assemble(std::size_t path,
+                                          const WcncPass& pass,
+                                          Microseconds trajectory,
+                                          const PathStatus& tj_status) const {
+  const VlPath& p = cfg_.all_paths()[path];
+  StreamPathResult r;
+  r.path_index = path;
+  r.vl = p.vl;
+  r.dest_index = p.dest_index;
+  PathStatus nc_status;
+  r.netcalc = wcnc_path_bound(path, pass, nc_status);
+  r.trajectory = trajectory;
+  r.combined = std::min(r.netcalc, r.trajectory);
+  // A path is ok as long as one method bounded it; the message still
+  // records every degraded method so nothing fails silently.
+  r.message = std::move(nc_status.message);
+  if (!tj_status.ok()) {
+    if (!r.message.empty()) r.message += "; ";
+    r.message += std::string("trajectory ") + to_string(tj_status.state) +
+                 ": " + tj_status.message;
+  }
+  if (!std::isfinite(r.combined)) {
+    const bool failed = nc_status.state == PathState::kFailed ||
+                        tj_status.state == PathState::kFailed;
+    r.state = failed ? PathState::kFailed : PathState::kSkipped;
+  }
+  return r;
+}
+
+void AnalysisEngine::record_phases(Microseconds netcalc_us,
+                                   Microseconds trajectory_us,
+                                   Microseconds combine_us,
+                                   std::size_t paths) {
+  const Microseconds total = netcalc_us + trajectory_us + combine_us;
+  metrics_.netcalc_wall_us += netcalc_us;
+  metrics_.trajectory_wall_us += trajectory_us;
+  metrics_.combine_wall_us += combine_us;
+  metrics_.total_wall_us += total;
+  metrics_.paths = paths;
+  metrics_.paths_per_second = safe_paths_per_second(paths, total);
+}
+
+AnalysisEngine::PipelineResult AnalysisEngine::pipeline(
+    const netcalc::Options& nc_options, const trajectory::Options& tj_options,
+    const RunControl& control, const IncrementalReuse& reuse,
+    const StreamSink& sink) {
+  const CacheStats cache0 = cache_.stats();
+  const trajectory::PrefixCacheStats prefix0 = prefix_stats_total();
+  const auto t0 = Clock::now();
+  const Microseconds cpu0 = cpu_now_us();
+
+  PipelineResult out;
+  out.wcnc = run_wcnc(nc_options, control.cancel);
+  const auto t1 = Clock::now();
+
+  const TrajectoryContext ctx =
+      resolve_trajectory_context(tj_options, &out.wcnc, control.cancel);
+  out.tj_key = ctx.tj_key;
+  StreamSummary& summary = out.summary;
+  std::mutex sink_mu;
+  bound_paths(ctx, nullptr, reuse, control.cancel,
+              [&](std::size_t i, Microseconds trajectory,
+                  const PathStatus& tj_status) {
+                const StreamPathResult r =
+                    assemble(i, out.wcnc, trajectory, tj_status);
+                std::lock_guard<std::mutex> lock(sink_mu);
+                ++summary.paths;
+                if (r.state == PathState::kFailed) {
+                  ++summary.failed;
+                } else if (r.state == PathState::kSkipped) {
+                  ++summary.skipped;
+                } else {
+                  summary.sum_combined += r.combined;
+                  if (++summary.ok == 1 || r.combined > summary.max_combined) {
+                    summary.max_combined = r.combined;
+                    summary.worst_path = i;
+                    summary.worst_vl = r.vl;
+                  }
+                }
+                if (sink) sink(r);
+              });
+  const auto t2 = Clock::now();
+
+  summary.shards = metrics_.shards;
+  summary.port_cache = cache_.stats() - cache0;
+  summary.prefix_cache = prefix_stats_total() - prefix0;
+  metrics_.cache_run = summary.port_cache;
+  metrics_.prefix_run = summary.prefix_cache;
+  const auto t3 = Clock::now();
+  summary.wall_us = elapsed_us(t0, t3);
+  summary.paths_per_second =
+      safe_paths_per_second(summary.paths, summary.wall_us);
+  record_phases(elapsed_us(t0, t1), elapsed_us(t1, t2), elapsed_us(t2, t3),
+                summary.paths);
+  metrics_.total_cpu_us += cpu_now_us() - cpu0;
+  observe_phase_us("netcalc", elapsed_us(t0, t1));
+  observe_phase_us("trajectory", elapsed_us(t1, t2));
+  observe_phase_us("combine", elapsed_us(t2, t3));
+  obs::registry().counter("engine.runs").add();
+  obs::registry().counter("engine.paths").add(summary.paths);
   return out;
+}
+
+RunResult AnalysisEngine::collect(const netcalc::Options& nc_options,
+                                  const trajectory::Options& tj_options,
+                                  const RunControl& control,
+                                  const IncrementalReuse& reuse) {
+  const std::size_t n = cfg_.all_paths().size();
+  RunResult result;
+  result.netcalc.assign(n, kInf);
+  result.trajectory.assign(n, kInf);
+  result.combined.assign(n, kInf);
+  result.status.assign(n, PathStatus{});
+  PipelineResult run = pipeline(
+      nc_options, tj_options, control, reuse,
+      [&](const StreamPathResult& r) {
+        result.netcalc[r.path_index] = r.netcalc;
+        result.trajectory[r.path_index] = r.trajectory;
+        result.combined[r.path_index] = r.combined;
+        result.status[r.path_index] = PathStatus{r.state, r.message};
+      });
+  result.netcalc_result = std::move(run.wcnc.result);
+  result.netcalc_result.path_bounds = result.netcalc;
+  result.nc_options_key = run.wcnc.options_key;
+  result.tj_options_key = run.tj_key;
+  result.prefixes = last_prefix_cache_;
+  result.metrics = metrics();
+  return result;
+}
+
+RunResult AnalysisEngine::run(const netcalc::Options& nc_options,
+                              const trajectory::Options& tj_options) {
+  AFDX_TRACE_SPAN("engine.run", "engine");
+  RunResult result = run_resilient(nc_options, tj_options);
+  for (const PathStatus& s : result.status) {
+    if (!s.ok() || !s.message.empty()) throw Error(s.message);
+  }
+  return result;
 }
 
 RunResult AnalysisEngine::run_resilient(const netcalc::Options& nc_options,
                                         const trajectory::Options& tj_options,
                                         const RunControl& control) {
-  const Network& net = cfg_.network();
-  const std::vector<VlPath>& paths = cfg_.all_paths();
-  const std::size_t n = paths.size();
-  const auto port_name = [&](LinkId l) {
-    return net.node(net.link(l).source).name + ">" +
-           net.node(net.link(l).dest).name;
-  };
-
   AFDX_TRACE_SPAN("engine.run_resilient", "engine");
-  RunResult result;
-  const CacheStats cache0 = cache_.stats();
-  const trajectory::PrefixCacheStats prefix0 = prefix_stats_total();
-  const auto t0 = Clock::now();
-  const Microseconds cpu0 = cpu_now_us();
-  std::vector<PortOutcome> nc_ports;
-  result.netcalc_result = run_netcalc_contained(nc_options, control, nc_ports);
-
-  // Per-path WCNC assembly: a path is only as good as every port it
-  // crosses; the first non-ok port carries the explanation.
-  result.netcalc.assign(n, kInf);
-  std::vector<PathStatus> nc_status(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const VlPath& p = paths[i];
-    const std::uint8_t level = cfg_.vl(p.vl).priority;
-    Microseconds total = 0.0;
-    for (LinkId l : p.links) {
-      if (nc_ports[l].state != PathState::kOk) {
-        nc_status[i] = PathStatus{
-            nc_ports[l].state,
-            "wcnc: port " + port_name(l) + " " +
-                std::string(to_string(nc_ports[l].state)) +
-                (nc_ports[l].message.empty() ? "" : ": " + nc_ports[l].message)};
-        total = kInf;
-        break;
-      }
-      const auto& delays = result.netcalc_result.ports[l].level_delays;
-      const auto it = delays.find(level);
-      AFDX_ASSERT(it != delays.end(), "engine: missing level delay");
-      total += it->second;
-    }
-    result.netcalc[i] = total;
-  }
-  result.netcalc_result.path_bounds = result.netcalc;
-  const auto t1 = Clock::now();
-
-  std::vector<PathStatus> tj_status;
-  const TrajectoryContext tj_ctx = resolve_trajectory_context(
-      tj_options, &result.netcalc_result, &nc_ports);
-  result.trajectory = run_trajectory_contained(tj_ctx, control, tj_status);
-  const auto t2 = Clock::now();
-
-  // Combine: the per-path minimum over the methods that did produce a
-  // bound. A path is ok as long as one method survived; the message still
-  // records the degraded method so nothing fails silently.
-  result.combined.assign(n, kInf);
-  result.status.assign(n, PathStatus{});
-  for (std::size_t i = 0; i < n; ++i) {
-    result.combined[i] = std::min(result.netcalc[i], result.trajectory[i]);
-    std::string message = nc_status[i].message;
-    if (!tj_status[i].ok()) {
-      if (!message.empty()) message += "; ";
-      message += "trajectory " + std::string(to_string(tj_status[i].state)) +
-                 ": " + tj_status[i].message;
-    }
-    if (std::isfinite(result.combined[i])) {
-      result.status[i] = PathStatus{PathState::kOk, std::move(message)};
-    } else {
-      const bool failed = nc_status[i].state == PathState::kFailed ||
-                          tj_status[i].state == PathState::kFailed;
-      result.status[i] = PathStatus{
-          failed ? PathState::kFailed : PathState::kSkipped,
-          std::move(message)};
-    }
-  }
-  const auto t3 = Clock::now();
-
-  metrics_.netcalc_wall_us += elapsed_us(t0, t1);
-  metrics_.trajectory_wall_us += elapsed_us(t1, t2);
-  metrics_.combine_wall_us += elapsed_us(t2, t3);
-  metrics_.total_wall_us += elapsed_us(t0, t3);
-  metrics_.total_cpu_us += cpu_now_us() - cpu0;
-  metrics_.paths = n;
-  metrics_.paths_per_second = safe_paths_per_second(n, elapsed_us(t0, t3));
-  observe_phase_us("netcalc", elapsed_us(t0, t1));
-  observe_phase_us("trajectory", elapsed_us(t1, t2));
-  observe_phase_us("combine", elapsed_us(t2, t3));
-  obs::registry().counter("engine.runs").add();
-  obs::registry().counter("engine.paths").add(n);
-  metrics_.cache_run = cache_.stats() - cache0;
-  metrics_.prefix_run = prefix_stats_total() - prefix0;
-  result.nc_options_key = PortCache::options_key(nc_options);
-  result.tj_options_key = tj_ctx.tj_key;
-  result.prefixes = last_prefix_cache_;
-  result.metrics = metrics();
-  return result;
+  return collect(nc_options, tj_options, control, IncrementalReuse{});
 }
 
 StreamSummary AnalysisEngine::run_streaming(
     const StreamSink& sink, const netcalc::Options& nc_options,
     const trajectory::Options& tj_options, const RunControl& control) {
   AFDX_TRACE_SPAN("engine.run_streaming", "engine");
-  const Network& net = cfg_.network();
-  const std::vector<VlPath>& paths = cfg_.all_paths();
-  const auto port_name = [&](LinkId l) {
-    return net.node(net.link(l).source).name + ">" +
-           net.node(net.link(l).dest).name;
-  };
-
-  const auto t0 = Clock::now();
-  const Microseconds cpu0 = cpu_now_us();
-  const CacheStats cache0 = cache_.stats();
-  const trajectory::PrefixCacheStats prefix0 = prefix_stats_total();
-
-  // Contained WCNC pass: per-port state, O(ports) not O(paths).
-  std::vector<PortOutcome> nc_ports;
-  const netcalc::Result nc_result =
-      run_netcalc_contained(nc_options, control, nc_ports);
-  const auto t1 = Clock::now();
-
-  const TrajectoryContext ctx =
-      resolve_trajectory_context(tj_options, &nc_result, &nc_ports);
-  const std::shared_ptr<trajectory::PrefixCache>& pcache = ctx.pcache;
-  // Streaming runs are always full runs: discard incremental leftovers.
-  pending_prefix_seeds_.clear();
-  pending_path_transplants_.clear();
-  last_prefix_cache_ = pcache;
-
-  std::vector<std::vector<std::size_t>> vl_paths(cfg_.vl_count());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    vl_paths[paths[i].vl].push_back(i);
-  }
-  const std::vector<VlId>& order_all = locality_vl_order();
-  std::vector<VlId> vl_order;
-  vl_order.reserve(order_all.size());
-  for (VlId v : order_all) {
-    if (!vl_paths[v].empty()) vl_order.push_back(v);
-  }
-
-  struct Shard {
-    std::optional<trajectory::Analyzer> analyzer;
-    std::string construct_error;
-    bool alive = false;
-    bool initialized = false;
-    std::size_t vls = 0;
-    std::size_t paths_done = 0;
-  };
-  std::vector<Shard> local(static_cast<std::size_t>(pool_.thread_count()));
-  const auto fresh = [&](Shard& shard) {
-    try {
-      shard.analyzer.emplace(cfg_, ctx.options);
-      if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
-      shard.analyzer->set_prefix_cache(pcache.get());
-      shard.alive = true;
-    } catch (const std::exception& e) {
-      shard.construct_error = e.what();
-      shard.alive = false;
-    }
-  };
-
-  StreamSummary summary;
-  std::mutex sink_mu;
-  pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
-    Shard& shard = local[static_cast<std::size_t>(w)];
-    if (!shard.initialized) {
-      shard.initialized = true;
-      fresh(shard);
-    }
-    ++shard.vls;
-    for (std::size_t i : vl_paths[vl_order[k]]) {
-      const VlPath& p = paths[i];
-      StreamPathResult r;
-      r.path_index = i;
-      r.vl = p.vl;
-      r.dest_index = p.dest_index;
-
-      // Per-path WCNC assembly, same contract as run_resilient: a path is
-      // only as good as every port it crosses.
-      const std::uint8_t level = cfg_.vl(p.vl).priority;
-      PathStatus nc_status;
-      Microseconds nc_total = 0.0;
-      for (LinkId l : p.links) {
-        if (nc_ports[l].state != PathState::kOk) {
-          nc_status = PathStatus{
-              nc_ports[l].state,
-              "wcnc: port " + port_name(l) + " " +
-                  std::string(to_string(nc_ports[l].state)) +
-                  (nc_ports[l].message.empty() ? ""
-                                               : ": " + nc_ports[l].message)};
-          nc_total = kInf;
-          break;
-        }
-        const auto& delays = nc_result.ports[l].level_delays;
-        const auto it = delays.find(level);
-        AFDX_ASSERT(it != delays.end(), "engine: missing level delay");
-        nc_total += it->second;
-      }
-      r.netcalc = nc_total;
-
-      PathStatus tj_status;
-      r.trajectory = kInf;
-      if (control.cancel != nullptr && control.cancel->expired()) {
-        tj_status = PathStatus{PathState::kSkipped, control.cancel->reason()};
-      } else if (!shard.alive) {
-        tj_status = PathStatus{PathState::kFailed, shard.construct_error};
-      } else {
-        try {
-          r.trajectory = shard.analyzer->bound_to_link(p.vl, p.links.back());
-          ++shard.paths_done;
-        } catch (const std::exception& e) {
-          tj_status = PathStatus{PathState::kFailed, e.what()};
-        }
-      }
-
-      r.combined = std::min(r.netcalc, r.trajectory);
-      std::string message = nc_status.message;
-      if (!tj_status.ok()) {
-        if (!message.empty()) message += "; ";
-        message += "trajectory " + std::string(to_string(tj_status.state)) +
-                   ": " + tj_status.message;
-      }
-      if (std::isfinite(r.combined)) {
-        r.state = PathState::kOk;
-      } else {
-        const bool failed = nc_status.state == PathState::kFailed ||
-                            tj_status.state == PathState::kFailed;
-        r.state = failed ? PathState::kFailed : PathState::kSkipped;
-      }
-      r.message = std::move(message);
-
-      {
-        std::lock_guard<std::mutex> lock(sink_mu);
-        ++summary.paths;
-        switch (r.state) {
-          case PathState::kOk:
-            ++summary.ok;
-            summary.sum_combined += r.combined;
-            if (summary.ok == 1 || r.combined > summary.max_combined) {
-              summary.max_combined = r.combined;
-              summary.worst_path = i;
-              summary.worst_vl = p.vl;
-            }
-            break;
-          case PathState::kFailed:
-            ++summary.failed;
-            break;
-          case PathState::kSkipped:
-            ++summary.skipped;
-            break;
-        }
-        if (sink) sink(r);
-      }
-    }
-  });
-  const auto t2 = Clock::now();
-
-  // Per-shard cache effectiveness plus the run's overall cache deltas --
-  // the summary carries them so a streaming caller can observe reuse
-  // (e.g. a warm second run) without reaching into engine metrics.
-  metrics_.shards.clear();
-  for (const Shard& shard : local) {
-    if (!shard.analyzer.has_value()) continue;
-    const trajectory::Analyzer::CacheCounters& c = shard.analyzer->counters();
-    metrics_.shards.push_back(ShardMetrics{shard.vls, shard.paths_done,
-                                           c.lookups, c.local_hits,
-                                           c.shared_hits});
-  }
-  summary.shards = metrics_.shards;
-  summary.port_cache = cache_.stats() - cache0;
-  summary.prefix_cache = prefix_stats_total() - prefix0;
-  metrics_.cache_run = summary.port_cache;
-  metrics_.prefix_run = summary.prefix_cache;
-
-  summary.wall_us = elapsed_us(t0, t2);
-  summary.paths_per_second =
-      safe_paths_per_second(summary.paths, summary.wall_us);
-  metrics_.netcalc_wall_us += elapsed_us(t0, t1);
-  metrics_.trajectory_wall_us += elapsed_us(t1, t2);
-  metrics_.total_wall_us += summary.wall_us;
-  metrics_.total_cpu_us += cpu_now_us() - cpu0;
-  metrics_.paths = summary.paths;
-  metrics_.paths_per_second = summary.paths_per_second;
-  observe_phase_us("netcalc", elapsed_us(t0, t1));
-  observe_phase_us("trajectory", elapsed_us(t1, t2));
-  obs::registry().counter("engine.runs").add();
-  obs::registry().counter("engine.paths").add(summary.paths);
-  return summary;
+  return pipeline(nc_options, tj_options, control, IncrementalReuse{}, sink)
+      .summary;
 }
 
-RunResult AnalysisEngine::run_incremental(const TrafficConfig& baseline_config,
-                                          const RunResult& baseline,
-                                          const std::vector<LinkId>& changed_links,
-                                          const netcalc::Options& nc_options,
-                                          const trajectory::Options& tj_options,
-                                          const RunControl& control) {
+RunResult AnalysisEngine::run_incremental(
+    const TrafficConfig& baseline_config, const RunResult& baseline,
+    const std::vector<LinkId>& changed_links,
+    const netcalc::Options& nc_options, const trajectory::Options& tj_options,
+    const RunControl& control) {
   AFDX_TRACE_SPAN("engine.run_incremental", "engine");
   IncrementalStats inc;
   inc.attempted = true;
@@ -978,9 +584,7 @@ RunResult AnalysisEngine::run_incremental(const TrafficConfig& baseline_config,
     inc.full_fallback = true;
     inc.fallback_reason = std::move(reason);
     metrics_.incremental = inc;
-    pending_prefix_seeds_.clear();
-    pending_path_transplants_.clear();
-    return run_resilient(nc_options, tj_options, control);
+    return collect(nc_options, tj_options, control, IncrementalReuse{});
   };
 
   const std::uint64_t okey = PortCache::options_key(nc_options);
@@ -1011,117 +615,67 @@ RunResult AnalysisEngine::run_incremental(const TrafficConfig& baseline_config,
   }
   cache_.evict(okey, plan.dirty_ports);
 
-  // Transplant trajectory prefixes whose whole upstream chain is clean --
-  // only from a baseline computed under the same trajectory options whose
-  // WCNC phase completed (otherwise its serialization caps, and therefore
-  // its prefixes, may not match what this run will derive).
-  pending_prefix_seeds_.clear();
-  bool baseline_complete =
-      baseline.prefixes != nullptr &&
-      baseline.tj_options_key == trajectory_options_key(tj_options);
-  if (baseline_complete) {
-    const std::size_t bn = baseline_config.network().link_count();
-    for (LinkId l = 0; l < bn; ++l) {
-      if (!baseline_config.vls_on_link(l).empty() &&
-          !baseline.netcalc_result.ports[l].used) {
-        baseline_complete = false;
-        break;
-      }
-    }
+  // Trajectory state carries over only from a baseline computed under the
+  // same trajectory options.
+  IncrementalReuse reuse;
+  if (baseline.tj_options_key == trajectory_options_key(tj_options)) {
+    reuse = plan_reuse(baseline_config, baseline, cfg_, plan);
   }
-  if (baseline_complete) {
-    for (VlId v = 0; v < cfg_.vl_count(); ++v) {
-      const VlId bv = plan.base_vl[v];
-      if (bv == kInvalidVl) continue;
-      const VlRoute& route = cfg_.route(v);
-      for (LinkId l : route.crossed_links()) {
-        bool chain_clean = true;
-        for (LinkId cur = l; cur != kInvalidLink;
-             cur = route.predecessor(cur)) {
-          if (plan.dirty[cur]) {
-            chain_clean = false;
-            break;
-          }
-        }
-        if (!chain_clean) continue;
-        if (const auto bound = baseline.prefixes->peek(bv, l);
-            bound.has_value()) {
-          pending_prefix_seeds_.push_back(PrefixSeed{v, l, *bound});
-        }
-      }
-    }
-  }
-  inc.seeded_prefixes = pending_prefix_seeds_.size();
-
-  // Whole-path transplants: a path whose every crossed port is clean reads
-  // bit-identical inputs end to end (the dirty closure already propagated
-  // any upstream change of any competing VL into its ports), so its final
-  // trajectory bound is carried over and the trajectory phase skips it.
-  // Only from a complete baseline whose per-path vectors line up, and only
-  // finite bounds (a failed path re-runs so its status is re-derived).
-  pending_path_transplants_.clear();
-  const std::vector<VlPath>& bpaths = baseline_config.all_paths();
-  if (baseline_complete && baseline.trajectory.size() == bpaths.size()) {
-    // Baseline path index by (baseline VL, terminal link).
-    std::unordered_map<std::uint64_t, std::size_t> base_path;
-    base_path.reserve(bpaths.size());
-    const auto path_key = [n = baseline_config.network().link_count()](
-                              VlId v, LinkId last) {
-      return static_cast<std::uint64_t>(v) * n + last;
-    };
-    for (std::size_t i = 0; i < bpaths.size(); ++i) {
-      base_path.emplace(path_key(bpaths[i].vl, bpaths[i].links.back()), i);
-    }
-    const std::vector<VlPath>& cpaths = cfg_.all_paths();
-    for (std::size_t i = 0; i < cpaths.size(); ++i) {
-      const VlPath& p = cpaths[i];
-      const VlId bv = plan.base_vl[p.vl];
-      if (bv == kInvalidVl) continue;
-      bool clean = true;
-      for (LinkId l : p.links) {
-        if (plan.dirty[l]) {
-          clean = false;
-          break;
-        }
-      }
-      if (!clean) continue;
-      const auto it = base_path.find(path_key(bv, p.links.back()));
-      if (it == base_path.end()) continue;
-      if (bpaths[it->second].links != p.links) continue;
-      const Microseconds bound = baseline.trajectory[it->second];
-      if (!std::isfinite(bound)) continue;
-      pending_path_transplants_.push_back(PathTransplant{i, bound});
-    }
-  }
-  inc.transplanted_paths = pending_path_transplants_.size();
+  inc.seeded_prefixes = reuse.prefixes.size();
+  inc.transplanted_paths = reuse.paths.size();
   metrics_.incremental = inc;
-  return run_resilient(nc_options, tj_options, control);
+  return collect(nc_options, tj_options, control, reuse);
 }
 
 netcalc::Result AnalysisEngine::netcalc_only(
     const netcalc::Options& nc_options) {
   const auto t0 = Clock::now();
-  netcalc::Result result = run_netcalc(nc_options);
-  const Microseconds dt = elapsed_us(t0, Clock::now());
-  metrics_.netcalc_wall_us += dt;
-  metrics_.total_wall_us += dt;
-  metrics_.paths = result.path_bounds.size();
-  metrics_.paths_per_second = safe_paths_per_second(metrics_.paths, dt);
+  WcncPass pass = run_wcnc(nc_options, nullptr);
+  const std::size_t n = cfg_.all_paths().size();
+  std::vector<Microseconds> bounds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    PathStatus status;
+    bounds[i] = wcnc_path_bound(i, pass, status);
+    if (!status.ok()) throw Error(status.message);
+  }
+  record_phases(elapsed_us(t0, Clock::now()), 0.0, 0.0, n);
+  netcalc::Result result = std::move(pass.result);
+  result.path_bounds = std::move(bounds);
   return result;
 }
 
 std::vector<Microseconds> AnalysisEngine::trajectory_only(
     const trajectory::Options& tj_options) {
+  std::vector<std::size_t> every(cfg_.all_paths().size());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  std::vector<Microseconds> out(every.size(), kInf);
+  trajectory_paths(every, tj_options, out);
+  return out;
+}
+
+void AnalysisEngine::trajectory_paths(const std::vector<std::size_t>& targets,
+                                      const trajectory::Options& tj_options,
+                                      std::vector<Microseconds>& out) {
+  AFDX_REQUIRE(out.size() == cfg_.all_paths().size(),
+               "trajectory_paths: output does not span all_paths()");
   const auto t0 = Clock::now();
   const TrajectoryContext ctx =
       resolve_trajectory_context(tj_options, nullptr, nullptr);
-  std::vector<Microseconds> result = run_trajectory(ctx);
-  const Microseconds dt = elapsed_us(t0, Clock::now());
-  metrics_.trajectory_wall_us += dt;
-  metrics_.total_wall_us += dt;
-  metrics_.paths = result.size();
-  metrics_.paths_per_second = safe_paths_per_second(result.size(), dt);
-  return result;
+  std::mutex mu;
+  std::size_t first_failed = out.size();
+  std::string failure;
+  bound_paths(ctx, &targets, IncrementalReuse{}, nullptr,
+              [&](std::size_t i, Microseconds bound, const PathStatus& status) {
+                out[i] = bound;
+                if (status.ok()) return;
+                std::lock_guard<std::mutex> lock(mu);
+                if (i < first_failed) {
+                  first_failed = i;
+                  failure = status.message;
+                }
+              });
+  record_phases(0.0, elapsed_us(t0, Clock::now()), 0.0, targets.size());
+  if (first_failed != out.size()) throw Error(failure);
 }
 
 const netcalc::PortFlowIndex& AnalysisEngine::flow_index() {

@@ -1,28 +1,34 @@
 // Parallel whole-network analysis engine.
 //
 // AnalysisEngine owns a fixed-size worker pool and a per-output-port
-// result cache, and runs the WCNC and trajectory analyses of one
-// TrafficConfig across threads:
+// result cache. Every entry point is a view of one contained pipeline:
 //
-//   * WCNC phase -- the used ports are processed level by level along the
-//     propagation partial order; ports of one level have no mutual
-//     dependencies, so each level is sharded across the pool. Every
-//     converged per-port bound is memoized in the cache, which also makes
-//     repeated runs on the same engine (benches, sweeps) near-free.
-//   * trajectory phase -- VL paths are sharded across the pool by whole
-//     VLs (paths of one VL share their prefix recursion, so keeping a VL
-//     on one worker preserves the analyzer's memoization). The per-port
-//     serialization caps are derived once from the shared WCNC run and
-//     injected into every shard-local analyzer instead of being recomputed
-//     per thread -- the single biggest saving of the engine.
-//   * combine phase -- the per-path minimum of the two bounds (the
-//     paper's recommended method), assembled in path-index order.
+//   1. WCNC -- the used ports are processed level by level along the
+//      propagation partial order; ports of one level have no mutual
+//      dependencies, so each level is sharded across the pool. A throwing
+//      port fails alone and the ports downstream of it are skipped.
+//      Converged per-port bounds are memoized in the cache, which makes
+//      repeated runs on the same engine near-free.
+//   2. caps -- the trajectory serialization caps, derived once per run by
+//      trajectory::serialization_caps from the default-options WCNC pass
+//      (the pass of step 1 when the caller used the defaults).
+//   3. trajectory -- the target paths are sharded across the pool by whole
+//      VLs in a locality-aware order (paths of one VL share their prefix
+//      recursion, neighbouring VLs share interferers); every shard-local
+//      analyzer shares the caps and one prefix cache.
+//   4. assembly -- each path's WCNC sum, its combined bound (the paper's
+//      per-path minimum) and its status go to a sink as soon as its
+//      trajectory bound is known.
 //
-// Determinism: index -> worker sharding is static, every per-port /
-// per-path computation is a pure function of the configuration, and
-// results are written to preallocated slots by index -- a run with N
-// threads is bit-identical to a run with 1 thread, and threads = 1
-// executes inline on the calling thread (the legacy serial path).
+// run_streaming is the pipeline; run_resilient collects the sink into
+// vectors; run is run_resilient that throws the first failure;
+// run_incremental hands baseline state to the pipeline; netcalc_only is
+// step 1 and trajectory_only / trajectory_paths are steps 2-3.
+//
+// Determinism: every per-port / per-path computation is a pure function of
+// the configuration and the options, and results land in per-index slots
+// -- a run with N threads is bit-identical to a run with 1 thread, and
+// threads = 1 executes inline on the calling thread.
 //
 // RunMetrics records wall time per phase, throughput, cache hit rate and
 // per-thread task counts; the CLI (--metrics) and the benches print it.
@@ -39,6 +45,7 @@
 #include <vector>
 
 #include "engine/cancel.hpp"
+#include "engine/incremental.hpp"
 #include "engine/port_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
@@ -100,14 +107,17 @@ struct ShardMetrics {
 /// Measurements of the work an engine has performed since construction.
 struct RunMetrics {
   Microseconds netcalc_wall_us = 0.0;
+  /// Caps plus the trajectory loop, including each path's assembly.
   Microseconds trajectory_wall_us = 0.0;
+  /// Collecting the run's results after the trajectory loop.
   Microseconds combine_wall_us = 0.0;
   Microseconds total_wall_us = 0.0;
   /// Process CPU time across all workers (>= wall time when the pool is
   /// busy); wall vs cpu exposes how much of the run actually parallelized.
   Microseconds total_cpu_us = 0.0;
   /// Propagation levels of the last WCNC pass (0 for cyclic fallback) and
-  /// the widest level -- the parallelism ceiling of the netcalc phase.
+  /// the widest level -- the parallelism ceiling of the netcalc phase. Set
+  /// by every entry point that runs a WCNC pass.
   std::size_t levels = 0;
   std::size_t max_level_width = 0;
   /// VL paths bounded by the most recent run/netcalc_only/trajectory_only.
@@ -251,15 +261,16 @@ class AnalysisEngine {
   AnalysisEngine(const AnalysisEngine&) = delete;
   AnalysisEngine& operator=(const AnalysisEngine&) = delete;
 
-  /// Both analyses plus the combined per-path minimum.
+  /// Both analyses plus the combined per-path minimum: run_resilient, then
+  /// the first path where a method failed is thrown as afdx::Error.
   [[nodiscard]] RunResult run(const netcalc::Options& nc_options = {},
                               const trajectory::Options& tj_options = {});
 
-  /// Hardened variant of run(): per-task exceptions are contained instead
-  /// of tearing down the run. A throwing port (e.g. unstable utilization)
-  /// fails only the paths that depend on it; ports downstream of a failed
-  /// port are skipped (their inputs are unknown) and every unaffected path
-  /// still gets its exact bounds. An expired RunControl::cancel marks the
+  /// The pipeline collected into vectors. Per-task exceptions are
+  /// contained: a throwing port (e.g. unstable utilization) fails only the
+  /// paths that depend on it; ports downstream of a failed port are
+  /// skipped (their inputs are unknown) and every unaffected path still
+  /// gets its exact bounds. An expired RunControl::cancel marks the
   /// remaining work skipped and returns the partial results accumulated so
   /// far. Never throws on analysis errors; RunResult::status tells the
   /// story per path.
@@ -268,14 +279,12 @@ class AnalysisEngine {
       const trajectory::Options& tj_options = {},
       const RunControl& control = {});
 
-  /// Streaming variant of run_resilient for configurations too large to
-  /// materialize per-path results: every path's record is handed to `sink`
-  /// as soon as it is computed (under an internal mutex, in completion
-  /// order -- sort by path_index downstream if order matters) and only the
-  /// running StreamSummary is kept. Per-path bounds and statuses are
-  /// bit-identical to run_resilient at any thread count; pending
-  /// incremental transplants are discarded (streaming runs are always
-  /// full runs).
+  /// The pipeline itself, for configurations too large to materialize
+  /// per-path results: every path's record is handed to `sink` as soon as
+  /// it is computed (under an internal mutex, in completion order -- sort
+  /// by path_index downstream if order matters) and only the running
+  /// StreamSummary is kept. Per-path bounds and statuses are bit-identical
+  /// to run_resilient at any thread count.
   StreamSummary run_streaming(const StreamSink& sink,
                               const netcalc::Options& nc_options = {},
                               const trajectory::Options& tj_options = {},
@@ -286,7 +295,8 @@ class AnalysisEngine {
   /// `changed_links` (plus every port whose crossing-VL set changed, and
   /// everything downstream) are recomputed; the bounds of clean ports and
   /// the trajectory prefixes whose whole upstream chain is clean are
-  /// transplanted from `baseline`. Bit-identical to run_resilient by
+  /// transplanted from `baseline`, and so are the trajectory bounds of
+  /// paths that cross clean ports only. Bit-identical to run_resilient by
   /// construction -- when the baseline cannot be validated (different
   /// options, different network, ...) it silently falls back to a full
   /// run_resilient and records the reason in metrics().incremental.
@@ -298,52 +308,107 @@ class AnalysisEngine {
       const RunControl& control = {});
 
   /// WCNC only (per-port reports and path bounds), served from the cache
-  /// when this engine already computed the same options.
+  /// when this engine already computed the same options. Throws the first
+  /// failed path as afdx::Error.
   [[nodiscard]] netcalc::Result netcalc_only(
       const netcalc::Options& nc_options = {});
 
-  /// Trajectory only, aligned with TrafficConfig::all_paths().
+  /// Trajectory only, aligned with TrafficConfig::all_paths():
+  /// trajectory_paths over every path.
   [[nodiscard]] std::vector<Microseconds> trajectory_only(
       const trajectory::Options& tj_options = {});
+
+  /// Trajectory bounds of the paths `targets` (indices into
+  /// TrafficConfig::all_paths()), written to out[i]; `out` must span
+  /// all_paths(). Bit-identical to the trajectory bounds of a full run.
+  /// Throws the first failed path as afdx::Error.
+  void trajectory_paths(const std::vector<std::size_t>& targets,
+                        const trajectory::Options& tj_options,
+                        std::vector<Microseconds>& out);
 
   [[nodiscard]] int thread_count() const noexcept {
     return pool_.thread_count();
   }
-  /// The engine's worker pool, for callers that shard auxiliary work
-  /// (e.g. the accuracy/cost ladder's per-path escalation waves) across
-  /// the same threads instead of spinning up their own.
-  [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   /// Metrics accumulated since construction.
   [[nodiscard]] RunMetrics metrics() const;
 
  private:
-  /// Per-port outcome of the resilient WCNC phase.
+  /// Per-port outcome of the WCNC pass.
   struct PortOutcome {
     PathState state = PathState::kOk;
     std::string message;
   };
 
-  /// Everything a trajectory phase needs, resolved once per run: the
-  /// options, the serialization caps, their digests and the shared prefix
-  /// cache they key. The three run entry points used to recompute the
-  /// digests (an O(ports) caps walk each) up to twice per run.
+  /// Output of pipeline step 1: the reports of the computed ports (failed
+  /// and skipped ports keep an unused report) and every port's outcome.
+  struct WcncPass {
+    std::uint64_t options_key = 0;
+    netcalc::Result result;
+    std::vector<PortOutcome> ports;
+  };
+
+  /// Everything a trajectory phase needs, resolved once per call: the
+  /// options, their digest, the serialization caps and the shared prefix
+  /// cache they key.
   struct TrajectoryContext {
     trajectory::Options options;
     std::optional<std::vector<Microseconds>> caps;
     std::uint64_t tj_key = 0;
-    std::uint64_t caps_sig = 0;
     std::shared_ptr<trajectory::PrefixCache> pcache;
   };
 
-  /// Builds the context. With nc_result == nullptr the caps come from an
-  /// internal default-options WCNC run (served by the port cache), exactly
-  /// like the legacy per-analyzer envelope analysis; otherwise from the
-  /// provided contained WCNC outcome (failed / skipped ports stay
-  /// uncapped -- an infinite cap is simply no refinement).
-  [[nodiscard]] TrajectoryContext resolve_trajectory_context(
-      const trajectory::Options& options, const netcalc::Result* nc_result,
-      const std::vector<PortOutcome>* nc_ports);
+  /// Per-path callback of step 3, called concurrently from the workers
+  /// with the path's trajectory bound (+infinity unless status is ok).
+  using PathVisit = std::function<void(std::size_t path,
+                                       Microseconds trajectory,
+                                       const PathStatus& status)>;
+
+  struct PipelineResult {
+    StreamSummary summary;
+    WcncPass wcnc;
+    std::uint64_t tj_key = 0;
+  };
+
+  /// Steps 1-4 into `sink`.
+  PipelineResult pipeline(const netcalc::Options& nc_options,
+                          const trajectory::Options& tj_options,
+                          const RunControl& control,
+                          const IncrementalReuse& reuse,
+                          const StreamSink& sink);
+  /// The pipeline collected into a RunResult.
+  RunResult collect(const netcalc::Options& nc_options,
+                    const trajectory::Options& tj_options,
+                    const RunControl& control,
+                    const IncrementalReuse& reuse);
+
+  /// Step 1: the contained WCNC pass, by levels (whole-pass granularity on
+  /// a cyclic configuration).
+  WcncPass run_wcnc(const netcalc::Options& options,
+                    const CancelToken* cancel);
+  /// Step 2. `pass` is the caller's WCNC pass, if any; the caps come from
+  /// it only when it ran under the default options.
+  TrajectoryContext resolve_trajectory_context(
+      const trajectory::Options& options, const WcncPass* pass,
+      const CancelToken* cancel);
+  /// Step 3 over `targets` (null = every path).
+  void bound_paths(const TrajectoryContext& ctx,
+                   const std::vector<std::size_t>* targets,
+                   const IncrementalReuse& reuse, const CancelToken* cancel,
+                   const PathVisit& visit);
+  /// Step 4: a path's WCNC sum, combined bound and status.
+  [[nodiscard]] StreamPathResult assemble(std::size_t path,
+                                          const WcncPass& pass,
+                                          Microseconds trajectory,
+                                          const PathStatus& tj_status) const;
+  /// A path's WCNC bound: the sum of its ports' class delays, or +infinity
+  /// with `status` naming the first port that has no bound.
+  [[nodiscard]] Microseconds wcnc_path_bound(std::size_t path,
+                                             const WcncPass& pass,
+                                             PathStatus& status) const;
+  /// Adds one call's phase times to the metrics.
+  void record_phases(Microseconds netcalc_us, Microseconds trajectory_us,
+                     Microseconds combine_us, std::size_t paths);
 
   /// Topology-aware VL schedule of the trajectory phase: VLs sorted
   /// lexicographically by their first path's link sequence (ties by id),
@@ -351,16 +416,6 @@ class AnalysisEngine {
   /// contiguous chunk and land on the same worker. Pure function of the
   /// configuration; built once per engine.
   [[nodiscard]] const std::vector<VlId>& locality_vl_order();
-
-  [[nodiscard]] netcalc::Result run_netcalc(const netcalc::Options& options);
-  [[nodiscard]] std::vector<Microseconds> run_trajectory(
-      const TrajectoryContext& ctx);
-  [[nodiscard]] netcalc::Result run_netcalc_contained(
-      const netcalc::Options& options, const RunControl& control,
-      std::vector<PortOutcome>& ports);
-  [[nodiscard]] std::vector<Microseconds> run_trajectory_contained(
-      const TrajectoryContext& ctx, const RunControl& control,
-      std::vector<PathStatus>& path_status);
 
   /// The once-built flat flow index of this engine's configuration.
   const netcalc::PortFlowIndex& flow_index();
@@ -372,29 +427,9 @@ class AnalysisEngine {
   /// Sum of the stats of every prefix cache of this engine.
   [[nodiscard]] trajectory::PrefixCacheStats prefix_stats_total() const;
 
-  /// One baseline prefix bound queued for transplantation by the next
-  /// trajectory phase (run_incremental fills the list; the phase applies
-  /// it to the resolved cache once, then clears it).
-  struct PrefixSeed {
-    VlId vl = kInvalidVl;
-    LinkId link = kInvalidLink;
-    Microseconds bound = 0.0;
-  };
-
-  /// One clean path whose trajectory bound run_incremental transplants
-  /// verbatim: the next trajectory phase writes `trajectory` for the path
-  /// and skips its recursion entirely.
-  struct PathTransplant {
-    std::size_t path = 0;
-    Microseconds trajectory = 0.0;
-  };
-
   const TrafficConfig& cfg_;
   ThreadPool pool_;
   PortCache cache_;
-  /// Fixed-point round counts per options digest (cyclic configurations
-  /// bypass the per-port cache path but still memoize their round count).
-  std::unordered_map<std::uint64_t, int> iterations_;
   std::optional<netcalc::PortFlowIndex> flow_index_;
   /// Cached locality_vl_order() result (pure function of cfg_).
   std::optional<std::vector<VlId>> locality_order_;
@@ -402,8 +437,6 @@ class AnalysisEngine {
       prefix_caches_;
   /// The cache used by the most recent trajectory phase.
   std::shared_ptr<trajectory::PrefixCache> last_prefix_cache_;
-  std::vector<PrefixSeed> pending_prefix_seeds_;
-  std::vector<PathTransplant> pending_path_transplants_;
   RunMetrics metrics_;
 };
 

@@ -1,7 +1,10 @@
 #include "engine/incremental.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
+
+#include "engine/engine.hpp"
 
 namespace afdx::engine {
 
@@ -120,6 +123,80 @@ IncrementalPlan plan_incremental(const TrafficConfig& baseline,
   }
   plan.compatible = true;
   return plan;
+}
+
+IncrementalReuse plan_reuse(const TrafficConfig& baseline_config,
+                            const RunResult& baseline,
+                            const TrafficConfig& current,
+                            const IncrementalPlan& plan) {
+  IncrementalReuse reuse;
+  // A baseline whose WCNC pass did not complete may have run with
+  // different serialization caps, and so with different prefixes.
+  const std::size_t n_links = baseline_config.network().link_count();
+  if (baseline.prefixes == nullptr ||
+      baseline.netcalc_result.ports.size() != n_links) {
+    return reuse;
+  }
+  for (LinkId l = 0; l < n_links; ++l) {
+    if (!baseline_config.vls_on_link(l).empty() &&
+        !baseline.netcalc_result.ports[l].used) {
+      return reuse;
+    }
+  }
+
+  for (VlId v = 0; v < current.vl_count(); ++v) {
+    const VlId bv = plan.base_vl[v];
+    if (bv == kInvalidVl) continue;
+    const VlRoute& route = current.route(v);
+    for (LinkId l : route.crossed_links()) {
+      bool chain_clean = true;
+      for (LinkId cur = l; cur != kInvalidLink; cur = route.predecessor(cur)) {
+        if (plan.dirty[cur]) {
+          chain_clean = false;
+          break;
+        }
+      }
+      if (!chain_clean) continue;
+      if (const auto bound = baseline.prefixes->peek(bv, l);
+          bound.has_value()) {
+        reuse.prefixes.push_back(IncrementalReuse::Prefix{v, l, *bound});
+      }
+    }
+  }
+
+  // A path whose every crossed port is clean reads bit-identical inputs end
+  // to end (the dirty closure already propagated any upstream change of any
+  // competing VL into its ports). Only where the baseline's per-path
+  // vectors line up, and only finite bounds (a failed path re-runs so its
+  // status is re-derived).
+  const std::vector<VlPath>& bpaths = baseline_config.all_paths();
+  if (baseline.trajectory.size() != bpaths.size()) return reuse;
+  // Baseline path index by (baseline VL, terminal link).
+  std::unordered_map<std::uint64_t, std::size_t> base_path;
+  base_path.reserve(bpaths.size());
+  const auto path_key = [n_links](VlId v, LinkId last) {
+    return static_cast<std::uint64_t>(v) * n_links + last;
+  };
+  for (std::size_t i = 0; i < bpaths.size(); ++i) {
+    base_path.emplace(path_key(bpaths[i].vl, bpaths[i].links.back()), i);
+  }
+  const std::vector<VlPath>& cpaths = current.all_paths();
+  for (std::size_t i = 0; i < cpaths.size(); ++i) {
+    const VlPath& p = cpaths[i];
+    const VlId bv = plan.base_vl[p.vl];
+    if (bv == kInvalidVl) continue;
+    if (std::any_of(p.links.begin(), p.links.end(),
+                    [&](LinkId l) { return plan.dirty[l] != 0; })) {
+      continue;
+    }
+    const auto it = base_path.find(path_key(bv, p.links.back()));
+    if (it == base_path.end() || bpaths[it->second].links != p.links) continue;
+    const Microseconds bound = baseline.trajectory[it->second];
+    if (std::isfinite(bound)) {
+      reuse.paths.push_back(IncrementalReuse::Path{i, bound});
+    }
+  }
+  return reuse;
 }
 
 }  // namespace afdx::engine

@@ -23,12 +23,15 @@
 // discussion.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "vl/traffic_config.hpp"
 
 namespace afdx::engine {
+
+struct RunResult;
 
 struct IncrementalPlan {
   /// False when the two configurations do not share a network (different
@@ -51,5 +54,33 @@ struct IncrementalPlan {
 [[nodiscard]] IncrementalPlan plan_incremental(
     const TrafficConfig& baseline, const TrafficConfig& current,
     const std::vector<LinkId>& changed_links);
+
+/// Baseline results a run of the changed configuration takes over
+/// verbatim. Both lists stay empty unless the baseline ran its WCNC pass to
+/// completion and kept its prefix cache.
+struct IncrementalReuse {
+  /// A trajectory prefix bound whose VL's whole upstream chain is clean;
+  /// seeded into the run's shared prefix cache.
+  struct Prefix {
+    VlId vl = kInvalidVl;
+    LinkId link = kInvalidLink;
+    Microseconds bound = 0.0;
+  };
+  /// A path that crosses clean ports only: its finite baseline trajectory
+  /// bound is taken as is, and the trajectory phase skips the path.
+  struct Path {
+    std::size_t path = 0;
+    Microseconds trajectory = 0.0;
+  };
+  std::vector<Prefix> prefixes;
+  std::vector<Path> paths;
+};
+
+/// The state of `baseline` (a run of `baseline_config` under the options of
+/// the coming run of `current`) that `plan` leaves reusable.
+[[nodiscard]] IncrementalReuse plan_reuse(const TrafficConfig& baseline_config,
+                                          const RunResult& baseline,
+                                          const TrafficConfig& current,
+                                          const IncrementalPlan& plan);
 
 }  // namespace afdx::engine

@@ -55,15 +55,6 @@ void PortCache::evict(std::uint64_t options_key,
   }
 }
 
-bool PortCache::covers(std::uint64_t options_key,
-                       const std::vector<LinkId>& ports) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (LinkId port : ports) {
-    if (entries_.find(Key{options_key, port}) == entries_.end()) return false;
-  }
-  return true;
-}
-
 std::size_t PortCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();

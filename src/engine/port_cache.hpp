@@ -84,11 +84,6 @@ class PortCache {
   void store(std::uint64_t options_key, LinkId port,
              const netcalc::PortBounds& bounds);
 
-  /// True when every port of `ports` is cached under `options_key` (does
-  /// not touch the hit/miss counters).
-  [[nodiscard]] bool covers(std::uint64_t options_key,
-                            const std::vector<LinkId>& ports) const;
-
   /// Inserts or overwrites (options, port) with a transplanted baseline
   /// value and counts it as seeded -- incremental re-analysis uses this to
   /// pre-load the bounds of ports outside the dirty cone. Thread-safe.

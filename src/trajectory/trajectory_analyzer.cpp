@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 
 #include "common/error.hpp"
@@ -116,24 +117,31 @@ void Analyzer::set_backlog_caps(std::vector<Microseconds> caps) {
 
 const std::vector<Microseconds>& Analyzer::backlog_caps() {
   if (!backlog_caps_.has_value()) {
-    backlog_caps_.emplace(cfg_.network().link_count(),
-                          std::numeric_limits<Microseconds>::infinity());
+    // An unstable port makes the serial envelope analysis throw; the empty
+    // result then leaves every port uncapped.
+    netcalc::Result nc;
     if (opt_.serialization) {
-      // The envelope analysis can fail only on unstable ports, where the
-      // trajectory busy period diverges anyway; fall back to uncapped.
       try {
-        const netcalc::Result nc = netcalc::analyze(cfg_);
-        for (LinkId l = 0; l < cfg_.network().link_count(); ++l) {
-          if (nc.ports[l].used) {
-            (*backlog_caps_)[l] =
-                nc.ports[l].queue_backlog / cfg_.network().link(l).rate;
-          }
-        }
+        nc = netcalc::analyze(cfg_);
       } catch (const Error&) {
       }
     }
+    backlog_caps_ = serialization_caps(cfg_, nc);
   }
   return *backlog_caps_;
+}
+
+std::vector<Microseconds> serialization_caps(const TrafficConfig& config,
+                                             const netcalc::Result& nc) {
+  const std::size_t n_links = config.network().link_count();
+  std::vector<Microseconds> caps(n_links,
+                                 std::numeric_limits<Microseconds>::infinity());
+  for (LinkId l = 0; l < n_links && l < nc.ports.size(); ++l) {
+    if (nc.ports[l].used) {
+      caps[l] = nc.ports[l].queue_backlog / config.network().link(l).rate;
+    }
+  }
+  return caps;
 }
 
 Microseconds Analyzer::min_arrival_at(VlId vl, LinkId link) const {

@@ -52,6 +52,10 @@
 #include "common/flat_map.hpp"
 #include "vl/traffic_config.hpp"
 
+namespace afdx::netcalc {
+struct Result;
+}
+
 namespace afdx::trajectory {
 
 class PrefixCache;
@@ -111,11 +115,9 @@ class Analyzer {
   /// Worst-case time from generation to *arrival in the queue* of `link`.
   [[nodiscard]] Microseconds max_arrival_at(VlId vl, LinkId link);
 
-  /// Injects precomputed per-port serialization caps (worst-case FIFO
-  /// queue content in time units at the port's rate, one entry per link,
-  /// +infinity for unused/uncapped ports), replacing the internal envelope
-  /// analysis. The parallel engine shares one WCNC run across all its
-  /// shard-local analyzers this way instead of recomputing it per thread.
+  /// Injects precomputed serialization caps (see serialization_caps)
+  /// instead of running the analyzer's own envelope analysis, so that many
+  /// analyzers can share one WCNC pass.
   void set_backlog_caps(std::vector<Microseconds> caps);
 
   /// Attaches a shared prefix cache (thread-safe, owned by the caller,
@@ -161,10 +163,8 @@ class Analyzer {
   Microseconds compute_prefix(VlId vl, LinkId last);
   const std::vector<std::vector<FlowAtLink>>& flow_table();
 
-  /// Worst-case FIFO backlog of every used port, in time units at the
-  /// port's rate (the serialization caps). Computed lazily from the
-  /// leaky-bucket envelopes; empty when the refinement is disabled or the
-  /// envelope analysis is infeasible.
+  /// The serialization caps, computed lazily from a serial default-options
+  /// WCNC run unless set_backlog_caps injected them.
   const std::vector<Microseconds>& backlog_caps();
 
   static std::uint64_t key(VlId vl, LinkId link) {
@@ -198,6 +198,16 @@ class Analyzer {
   common::BumpArena arena_;
   CacheCounters counters_;
 };
+
+/// The serialization caps of a configuration (DESIGN.md section 3.2): for
+/// every port the WCNC pass `nc` reported (PortReport::used), its
+/// worst-case FIFO queue content in time units at the port's rate,
+/// queue_backlog / rate; +infinity (no refinement) for every other port --
+/// unused, failed, skipped or absent from `nc`. `nc` is the pass under
+/// default netcalc::Options: the caps depend only on the configuration,
+/// never on the WCNC options of the caller.
+[[nodiscard]] std::vector<Microseconds> serialization_caps(
+    const TrafficConfig& config, const netcalc::Result& nc);
 
 /// One-shot convenience wrapper.
 [[nodiscard]] Result analyze(const TrafficConfig& config,

@@ -8,14 +8,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "analysis/comparison.hpp"
+#include "analysis/ladder.hpp"
 #include "common/error.hpp"
 #include "config/samples.hpp"
+#include "config/serialization.hpp"
 #include "engine/incremental.hpp"
 #include "engine/session.hpp"
 #include "engine/port_cache.hpp"
@@ -178,16 +183,19 @@ TEST(EngineCache, TrajectoryCapsReuseTheNetcalcRun) {
   const TrafficConfig cfg = config::sample_config();
   AnalysisEngine eng(cfg, Options{2});
   (void)eng.run();
-  // Phase 1 fills the per-port cache (all misses); the trajectory phase
-  // re-reads every used port for its serialization caps (all hits).
-  const CacheStats stats = eng.cache_stats();
+  // Under the default WCNC options the caps come from the run's own pass:
+  // every used port is computed once (all misses) and never re-read.
   std::size_t used_ports = 0;
   for (LinkId l = 0; l < cfg.network().link_count(); ++l) {
     if (!cfg.vls_on_link(l).empty()) ++used_ports;
   }
-  EXPECT_EQ(stats.misses, used_ports);
-  EXPECT_GE(stats.hits, used_ports);
-  EXPECT_GT(stats.hit_rate(), 0.0);
+  EXPECT_EQ(eng.cache_stats().misses, used_ports);
+  EXPECT_EQ(eng.cache_stats().hits, 0u);
+  // A later trajectory-only call derives its caps from a pass served
+  // entirely by the cache.
+  (void)eng.trajectory_only();
+  EXPECT_EQ(eng.cache_stats().misses, used_ports);
+  EXPECT_EQ(eng.cache_stats().hits, used_ports);
 }
 
 TEST(EngineCache, SecondRunIsAllHits) {
@@ -1113,6 +1121,267 @@ TEST(Session, ManyConcurrentSessionsStayIndependent) {
                           runs[static_cast<std::size_t>(i)]);
   }
 }
+
+// --- Every entry point is a view of one pipeline ---------------------------
+
+// RunMetrics::levels describes the WCNC pass of whichever entry point ran
+// it; the contained entry points once left it at 0.
+TEST(EngineMetrics, EveryEntryPointReportsPropagationLevels) {
+  const TrafficConfig cfg = config::sample_config();
+  AnalysisEngine classic(cfg, {2});
+  (void)classic.run();
+  const RunMetrics want = classic.metrics();
+  ASSERT_GT(want.levels, 0u);
+  ASSERT_GT(want.max_level_width, 0u);
+
+  AnalysisEngine resilient(cfg, {2});
+  (void)resilient.run_resilient();
+  EXPECT_EQ(resilient.metrics().levels, want.levels);
+  EXPECT_EQ(resilient.metrics().max_level_width, want.max_level_width);
+
+  AnalysisEngine streaming(cfg, {2});
+  (void)streaming.run_streaming(nullptr);
+  EXPECT_EQ(streaming.metrics().levels, want.levels);
+  EXPECT_EQ(streaming.metrics().max_level_width, want.max_level_width);
+}
+
+// Differential matrix: every entry point that claims to run "the same
+// analysis" must return bit-identical bounds and identical per-path states,
+// for every option combination and thread count. Where WCNC succeeds on
+// every port, the serial analyzers must agree too.
+struct MatrixVariant {
+  const char* name;
+  bool grouping;
+  bool serialization;
+  /// Static-priority classes (VL v gets class v % classes).
+  int classes;
+  Microseconds jitter;
+};
+
+constexpr MatrixVariant kMatrixVariants[] = {
+    {"default", true, true, 1, 0.0},
+    {"no_grouping", false, true, 1, 0.0},
+    {"no_serialization", true, false, 1, 0.0},
+    {"spq", true, true, 3, 0.0},
+    {"jitter", true, true, 1, 60.0},
+};
+
+constexpr const char* kMatrixConfigs[] = {"small_industrial", "poisoning",
+                                          "unstable_file", "grid_a", "grid_b"};
+
+TrafficConfig matrix_config(std::size_t index) {
+  switch (index) {
+    case 0:
+      return small_industrial();
+    case 1:
+      return poisoning_config(true);
+    case 2:
+      return config::load_config_file(AFDX_REPO_ROOT
+                                      "/tests/data/unstable.afdx");
+    case 3: {
+      gen::IndustrialOptions o;
+      o.seed = 11;
+      o.vl_count = 90;
+      o.end_system_count = 20;
+      o.switch_count = 3;
+      o.domains = 2;
+      o.cross_domain_fraction = 0.3;
+      return gen::industrial_config(o);
+    }
+    default: {
+      gen::IndustrialOptions o;
+      o.seed = 23;
+      o.vl_count = 80;
+      o.end_system_count = 14;
+      o.switch_count = 5;
+      o.multicast_fraction = 0.6;
+      o.max_multicast_fanout = 4;
+      o.min_bag_ms = 2.0;
+      o.max_bag_ms = 16.0;
+      o.max_port_utilization = 0.9;
+      return gen::industrial_config(o);
+    }
+  }
+}
+
+/// `base` with the variant's priority classes and release jitter applied.
+TrafficConfig reshape(const TrafficConfig& base, const MatrixVariant& v) {
+  std::vector<VirtualLink> vls;
+  std::vector<std::vector<std::vector<LinkId>>> routes;
+  for (VlId id = 0; id < base.vl_count(); ++id) {
+    VirtualLink vl = base.vl(id);
+    vl.priority = static_cast<std::uint8_t>(id % v.classes);
+    if (v.jitter > 0.0) vl.max_release_jitter = v.jitter;
+    vls.push_back(std::move(vl));
+    routes.push_back(base.route(id).paths());
+  }
+  return TrafficConfig(Network(base.network()), std::move(vls),
+                       std::move(routes));
+}
+
+struct PathBounds {
+  std::vector<Microseconds> netcalc, trajectory, combined;
+  std::vector<PathState> states;
+};
+
+PathBounds bounds_of(const RunResult& r) {
+  PathBounds b{r.netcalc, r.trajectory, r.combined, {}};
+  for (const PathStatus& s : r.status) b.states.push_back(s.state);
+  return b;
+}
+
+void expect_bits(const std::vector<Microseconds>& want,
+                 const std::vector<Microseconds>& got,
+                 const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  std::size_t mismatches = 0, first = 0;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, &want[i], sizeof a);
+    std::memcpy(&b, &got[i], sizeof b);
+    if (a != b && mismatches++ == 0) first = i;
+  }
+  EXPECT_EQ(mismatches, 0u) << what << ": first mismatch at path " << first
+                            << " (" << want[first] << " vs " << got[first]
+                            << ")";
+}
+
+void expect_same(const PathBounds& want, const PathBounds& got,
+                 const std::string& entry) {
+  expect_bits(want.netcalc, got.netcalc, entry + " wcnc");
+  expect_bits(want.trajectory, got.trajectory, entry + " trajectory");
+  expect_bits(want.combined, got.combined, entry + " combined");
+  EXPECT_EQ(want.states, got.states) << entry << " path states";
+}
+
+bool all_finite(const std::vector<Microseconds>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](Microseconds x) { return std::isfinite(x); });
+}
+
+using MatrixCell = std::tuple<std::size_t, std::size_t, int>;
+
+class EntryPointMatrix : public ::testing::TestWithParam<MatrixCell> {};
+
+TEST_P(EntryPointMatrix, BoundsAreBitIdentical) {
+  const auto [config_index, variant_index, threads] = GetParam();
+  const MatrixVariant& v = kMatrixVariants[variant_index];
+  const TrafficConfig cfg = reshape(matrix_config(config_index), v);
+  netcalc::Options nc;
+  nc.grouping = v.grouping;
+  trajectory::Options tj;
+  tj.serialization = v.serialization;
+  const std::size_t n = cfg.all_paths().size();
+
+  AnalysisEngine reference(cfg, {threads});
+  const RunResult ref_run = reference.run_resilient(nc, tj);
+  const PathBounds ref = bounds_of(ref_run);
+  const bool clean = std::all_of(
+      ref_run.status.begin(), ref_run.status.end(),
+      [](const PathStatus& s) { return s.ok() && s.message.empty(); });
+  const bool wcnc_ok = all_finite(ref.netcalc);
+  const bool trajectory_ok = all_finite(ref.trajectory);
+
+  {
+    AnalysisEngine eng(cfg, {threads});
+    if (clean) {
+      expect_same(ref, bounds_of(eng.run(nc, tj)), "run");
+    } else {
+      EXPECT_THROW((void)eng.run(nc, tj), Error);
+    }
+  }
+  {
+    AnalysisEngine eng(cfg, {threads});
+    PathBounds got{std::vector<Microseconds>(n, 0.0),
+                   std::vector<Microseconds>(n, 0.0),
+                   std::vector<Microseconds>(n, 0.0),
+                   std::vector<PathState>(n, PathState::kOk)};
+    (void)eng.run_streaming(
+        [&](const StreamPathResult& r) {
+          got.netcalc[r.path_index] = r.netcalc;
+          got.trajectory[r.path_index] = r.trajectory;
+          got.combined[r.path_index] = r.combined;
+          got.states[r.path_index] = r.state;
+        },
+        nc, tj);
+    expect_same(ref, got, "run_streaming");
+  }
+  {
+    AnalysisEngine eng(cfg, {threads});
+    expect_same(ref, bounds_of(eng.run_incremental(cfg, ref_run, {}, nc, tj)),
+                "run_incremental");
+  }
+  {
+    AnalysisEngine eng(cfg, {threads});
+    if (wcnc_ok) {
+      expect_bits(ref.netcalc, eng.netcalc_only(nc).path_bounds,
+                  "netcalc_only");
+    } else {
+      EXPECT_THROW((void)eng.netcalc_only(nc), Error);
+    }
+    if (trajectory_ok) {
+      expect_bits(ref.trajectory, eng.trajectory_only(tj), "trajectory_only");
+    } else {
+      EXPECT_THROW((void)eng.trajectory_only(tj), Error);
+    }
+  }
+  {
+    analysis::LadderOptions lo;
+    lo.netcalc = nc;
+    lo.trajectory = tj;
+    analysis::BoundLadder ladder(cfg, {threads});
+    const analysis::LadderResult lr = ladder.run(lo);
+    const auto wcnc_rung = static_cast<std::size_t>(
+        v.grouping ? analysis::Rung::kWcncGrouping : analysis::Rung::kWcnc);
+    const auto trajectory_rung = static_cast<std::size_t>(
+        v.serialization ? analysis::Rung::kTrajectoryPruned
+                        : analysis::Rung::kTrajectory);
+    if (wcnc_ok) {
+      expect_bits(ref.netcalc, lr.rung_bounds[wcnc_rung], "ladder wcnc rung");
+    } else {
+      EXPECT_TRUE(lr.rungs[wcnc_rung].failed);
+    }
+    if (trajectory_ok) {
+      expect_bits(ref.trajectory, lr.rung_bounds[trajectory_rung],
+                  "ladder trajectory rung");
+    } else {
+      EXPECT_TRUE(lr.rungs[trajectory_rung].failed);
+    }
+  }
+
+  // The serial analyzers derive their caps from a default-options WCNC
+  // run; they are a reference wherever that run succeeds.
+  if (wcnc_ok) {
+    expect_bits(ref.netcalc, netcalc::analyze(cfg, nc).path_bounds,
+                "netcalc::analyze");
+  }
+  bool default_wcnc_ok = true;
+  try {
+    (void)netcalc::analyze(cfg);
+  } catch (const Error&) {
+    default_wcnc_ok = false;
+  }
+  if (default_wcnc_ok) {
+    if (trajectory_ok) {
+      expect_bits(ref.trajectory, trajectory::analyze(cfg, tj).path_bounds,
+                  "trajectory::analyze");
+    } else {
+      EXPECT_THROW((void)trajectory::analyze(cfg, tj), Error);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, EntryPointMatrix,
+    ::testing::Combine(
+        ::testing::Range<std::size_t>(0, std::size(kMatrixConfigs)),
+        ::testing::Range<std::size_t>(0, std::size(kMatrixVariants)),
+        ::testing::Values(1, 4)),
+    [](const ::testing::TestParamInfo<MatrixCell>& info) {
+      return std::string(kMatrixConfigs[std::get<0>(info.param)]) + "_" +
+             kMatrixVariants[std::get<1>(info.param)].name + "_t" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 }  // namespace
 }  // namespace afdx::engine
