@@ -43,19 +43,11 @@ Microseconds cpu_now_us() {
          static_cast<Microseconds>(CLOCKS_PER_SEC);
 }
 
-/// Per-phase wall-time histograms in the global observability registry;
-/// resolved once, then each observation is an atomic add.
-void observe_phase_us(const char* phase, Microseconds wall_us) {
-  obs::registry()
-      .histogram(std::string("engine.phase.") + phase + ".wall_us")
+/// Per-phase wall-time histogram of an engine scope.
+void observe_phase_us(obs::Registry& scope, const char* phase,
+                      Microseconds wall_us) {
+  scope.histogram(std::string("engine.phase.") + phase + ".wall_us")
       .observe(wall_us > 0.0 ? static_cast<std::uint64_t>(wall_us) : 0u);
-}
-
-/// Throughput guarded against zero-path / zero-duration runs (a trivial
-/// configuration or a clock too coarse for the run must yield 0, not NaN).
-double safe_paths_per_second(std::size_t paths, Microseconds wall_us) {
-  if (paths == 0 || !(wall_us > 0.0)) return 0.0;
-  return static_cast<double>(paths) / (wall_us * 1e-6);
 }
 
 // Tripwire: trajectory_options_key below must fingerprint EVERY field of
@@ -116,7 +108,10 @@ std::string port_name(const TrafficConfig& cfg, LinkId l) {
 }  // namespace
 
 AnalysisEngine::AnalysisEngine(const TrafficConfig& config, Options options)
-    : cfg_(config), pool_(ThreadPool::resolve_thread_count(options.threads)) {}
+    : cfg_(config),
+      scope_(std::make_shared<obs::Registry>(&obs::registry())),
+      pool_(ThreadPool::resolve_thread_count(options.threads), *scope_),
+      cache_(*scope_) {}
 
 AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
     const netcalc::Options& options, const CancelToken* cancel) {
@@ -162,8 +157,7 @@ AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
   // land in per-port slots, making the pass order-independent and
   // bit-identical to the serial analyzer.
   metrics_.levels = levels->size();
-  static obs::Histogram& level_width =
-      obs::registry().histogram("engine.level.width");
+  obs::Histogram& level_width = scope_->histogram("engine.level.width");
   const netcalc::PortFlowIndex& index = flow_index();
   std::vector<netcalc::PortBounds> bounds(n_links);
   netcalc::DelayTable delays(cfg_);
@@ -444,28 +438,36 @@ StreamPathResult AnalysisEngine::assemble(std::size_t path,
   return r;
 }
 
-void AnalysisEngine::record_phases(Microseconds netcalc_us,
-                                   Microseconds trajectory_us,
-                                   Microseconds combine_us,
-                                   std::size_t paths) {
-  const Microseconds total = netcalc_us + trajectory_us + combine_us;
+AnalysisEngine::CallStart AnalysisEngine::begin_call() {
+  return CallStart{Clock::now(), cpu_now_us(), cache_.stats(),
+                   trajectory::prefix_cache_stats(*scope_)};
+}
+
+void AnalysisEngine::finish_call(const CallStart& start,
+                                 Microseconds netcalc_us,
+                                 Microseconds trajectory_us,
+                                 std::size_t paths) {
+  const Microseconds total = elapsed_us(start.wall, Clock::now());
   metrics_.netcalc_wall_us += netcalc_us;
   metrics_.trajectory_wall_us += trajectory_us;
-  metrics_.combine_wall_us += combine_us;
   metrics_.total_wall_us += total;
+  metrics_.total_cpu_us += cpu_now_us() - start.cpu_us;
   metrics_.paths = paths;
-  metrics_.paths_per_second = safe_paths_per_second(paths, total);
+  // A trivial configuration or a clock too coarse for the call must yield
+  // 0, not NaN.
+  metrics_.paths_per_second =
+      paths == 0 || !(total > 0.0)
+          ? 0.0
+          : static_cast<double>(paths) / (total * 1e-6);
+  metrics_.cache_run = cache_.stats() - start.cache;
+  metrics_.prefix_run = trajectory::prefix_cache_stats(*scope_) - start.prefix;
 }
 
 AnalysisEngine::PipelineResult AnalysisEngine::pipeline(
     const netcalc::Options& nc_options, const trajectory::Options& tj_options,
     const RunControl& control, const IncrementalReuse& reuse,
-    const StreamSink& sink) {
-  const CacheStats cache0 = cache_.stats();
-  const trajectory::PrefixCacheStats prefix0 = prefix_stats_total();
+    const CallStart& start, const StreamSink& sink) {
   const auto t0 = Clock::now();
-  const Microseconds cpu0 = cpu_now_us();
-
   PipelineResult out;
   out.wcnc = run_wcnc(nc_options, control.cancel);
   const auto t1 = Clock::now();
@@ -498,30 +500,20 @@ AnalysisEngine::PipelineResult AnalysisEngine::pipeline(
               });
   const auto t2 = Clock::now();
 
-  summary.shards = metrics_.shards;
-  summary.port_cache = cache_.stats() - cache0;
-  summary.prefix_cache = prefix_stats_total() - prefix0;
-  metrics_.cache_run = summary.port_cache;
-  metrics_.prefix_run = summary.prefix_cache;
-  const auto t3 = Clock::now();
-  summary.wall_us = elapsed_us(t0, t3);
-  summary.paths_per_second =
-      safe_paths_per_second(summary.paths, summary.wall_us);
-  record_phases(elapsed_us(t0, t1), elapsed_us(t1, t2), elapsed_us(t2, t3),
-                summary.paths);
-  metrics_.total_cpu_us += cpu_now_us() - cpu0;
-  observe_phase_us("netcalc", elapsed_us(t0, t1));
-  observe_phase_us("trajectory", elapsed_us(t1, t2));
-  observe_phase_us("combine", elapsed_us(t2, t3));
-  obs::registry().counter("engine.runs").add();
-  obs::registry().counter("engine.paths").add(summary.paths);
+  finish_call(start, elapsed_us(t0, t1), elapsed_us(t1, t2), summary.paths);
+  summary.prefix_cache = metrics_.prefix_run;
+  observe_phase_us(*scope_, "netcalc", elapsed_us(t0, t1));
+  observe_phase_us(*scope_, "trajectory", elapsed_us(t1, t2));
+  scope_->counter("engine.runs").add();
+  scope_->counter("engine.paths").add(summary.paths);
   return out;
 }
 
 RunResult AnalysisEngine::collect(const netcalc::Options& nc_options,
                                   const trajectory::Options& tj_options,
                                   const RunControl& control,
-                                  const IncrementalReuse& reuse) {
+                                  const IncrementalReuse& reuse,
+                                  const CallStart& start) {
   const std::size_t n = cfg_.all_paths().size();
   RunResult result;
   result.netcalc.assign(n, kInf);
@@ -529,7 +521,7 @@ RunResult AnalysisEngine::collect(const netcalc::Options& nc_options,
   result.combined.assign(n, kInf);
   result.status.assign(n, PathStatus{});
   PipelineResult run = pipeline(
-      nc_options, tj_options, control, reuse,
+      nc_options, tj_options, control, reuse, start,
       [&](const StreamPathResult& r) {
         result.netcalc[r.path_index] = r.netcalc;
         result.trajectory[r.path_index] = r.trajectory;
@@ -559,14 +551,16 @@ RunResult AnalysisEngine::run_resilient(const netcalc::Options& nc_options,
                                         const trajectory::Options& tj_options,
                                         const RunControl& control) {
   AFDX_TRACE_SPAN("engine.run_resilient", "engine");
-  return collect(nc_options, tj_options, control, IncrementalReuse{});
+  return collect(nc_options, tj_options, control, IncrementalReuse{},
+                 begin_call());
 }
 
 StreamSummary AnalysisEngine::run_streaming(
     const StreamSink& sink, const netcalc::Options& nc_options,
     const trajectory::Options& tj_options, const RunControl& control) {
   AFDX_TRACE_SPAN("engine.run_streaming", "engine");
-  return pipeline(nc_options, tj_options, control, IncrementalReuse{}, sink)
+  return pipeline(nc_options, tj_options, control, IncrementalReuse{},
+                  begin_call(), sink)
       .summary;
 }
 
@@ -576,6 +570,7 @@ RunResult AnalysisEngine::run_incremental(
     const netcalc::Options& nc_options, const trajectory::Options& tj_options,
     const RunControl& control) {
   AFDX_TRACE_SPAN("engine.run_incremental", "engine");
+  const CallStart start = begin_call();
   IncrementalStats inc;
   inc.attempted = true;
   inc.changed_links = changed_links.size();
@@ -584,7 +579,8 @@ RunResult AnalysisEngine::run_incremental(
     inc.full_fallback = true;
     inc.fallback_reason = std::move(reason);
     metrics_.incremental = inc;
-    return collect(nc_options, tj_options, control, IncrementalReuse{});
+    return collect(nc_options, tj_options, control, IncrementalReuse{},
+                   start);
   };
 
   const std::uint64_t okey = PortCache::options_key(nc_options);
@@ -624,12 +620,12 @@ RunResult AnalysisEngine::run_incremental(
   inc.seeded_prefixes = reuse.prefixes.size();
   inc.transplanted_paths = reuse.paths.size();
   metrics_.incremental = inc;
-  return collect(nc_options, tj_options, control, reuse);
+  return collect(nc_options, tj_options, control, reuse, start);
 }
 
 netcalc::Result AnalysisEngine::netcalc_only(
     const netcalc::Options& nc_options) {
-  const auto t0 = Clock::now();
+  const CallStart start = begin_call();
   WcncPass pass = run_wcnc(nc_options, nullptr);
   const std::size_t n = cfg_.all_paths().size();
   std::vector<Microseconds> bounds(n);
@@ -638,7 +634,7 @@ netcalc::Result AnalysisEngine::netcalc_only(
     bounds[i] = wcnc_path_bound(i, pass, status);
     if (!status.ok()) throw Error(status.message);
   }
-  record_phases(elapsed_us(t0, Clock::now()), 0.0, 0.0, n);
+  finish_call(start, elapsed_us(start.wall, Clock::now()), 0.0, n);
   netcalc::Result result = std::move(pass.result);
   result.path_bounds = std::move(bounds);
   return result;
@@ -658,7 +654,7 @@ void AnalysisEngine::trajectory_paths(const std::vector<std::size_t>& targets,
                                       std::vector<Microseconds>& out) {
   AFDX_REQUIRE(out.size() == cfg_.all_paths().size(),
                "trajectory_paths: output does not span all_paths()");
-  const auto t0 = Clock::now();
+  const CallStart start = begin_call();
   const TrajectoryContext ctx =
       resolve_trajectory_context(tj_options, nullptr, nullptr);
   std::mutex mu;
@@ -674,7 +670,8 @@ void AnalysisEngine::trajectory_paths(const std::vector<std::size_t>& targets,
                   failure = status.message;
                 }
               });
-  record_phases(0.0, elapsed_us(t0, Clock::now()), 0.0, targets.size());
+  finish_call(start, 0.0, elapsed_us(start.wall, Clock::now()),
+              targets.size());
   if (first_failed != out.size()) throw Error(failure);
 }
 
@@ -690,26 +687,15 @@ std::shared_ptr<trajectory::PrefixCache> AnalysisEngine::prefix_cache_for(
   // One more FNV round folds the two digests into the map key.
   const std::uint64_t key = fnv_mix(tj_key, caps_sig, 8);
   auto& slot = prefix_caches_[key];
-  if (slot == nullptr) slot = std::make_shared<trajectory::PrefixCache>();
+  if (slot == nullptr) slot = std::make_shared<trajectory::PrefixCache>(scope_);
   return slot;
-}
-
-trajectory::PrefixCacheStats AnalysisEngine::prefix_stats_total() const {
-  trajectory::PrefixCacheStats total;
-  for (const auto& [key, cache] : prefix_caches_) {
-    const trajectory::PrefixCacheStats s = cache->stats();
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.seeded += s.seeded;
-  }
-  return total;
 }
 
 RunMetrics AnalysisEngine::metrics() const {
   RunMetrics m = metrics_;
   m.cache = cache_.stats();
-  m.prefix = prefix_stats_total();
-  m.steals = pool_.steal_count();
+  m.prefix = trajectory::prefix_cache_stats(*scope_);
+  m.steals = scope_->counter("engine.pool.steals").value();
   m.threads = pool_.thread_count();
   m.tasks_per_thread = pool_.tasks_per_thread();
   return m;

@@ -30,10 +30,11 @@
 // -- a run with N threads is bit-identical to a run with 1 thread, and
 // threads = 1 executes inline on the calling thread.
 //
-// RunMetrics records wall time per phase, throughput, cache hit rate and
-// per-thread task counts; the CLI (--metrics) and the benches print it.
+// Each engine's caches, pool and engine.* figures count in its own obs scope
+// (a child of the process root); RunMetrics reads it for --metrics/benches.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -49,6 +50,7 @@
 #include "engine/port_cache.hpp"
 #include "engine/thread_pool.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
+#include "obs/counters.hpp"
 #include "trajectory/prefix_cache.hpp"
 #include "trajectory/trajectory_analyzer.hpp"
 #include "vl/traffic_config.hpp"
@@ -104,46 +106,49 @@ struct ShardMetrics {
   }
 };
 
-/// Measurements of the work an engine has performed since construction.
+/// Measurements of an engine's work. `cache`, `prefix` and `steals` are
+/// reads of the engine's obs scope.
 struct RunMetrics {
+  // Cumulative: every entry point call since construction.
   Microseconds netcalc_wall_us = 0.0;
   /// Caps plus the trajectory loop, including each path's assembly.
   Microseconds trajectory_wall_us = 0.0;
-  /// Collecting the run's results after the trajectory loop.
+  /// Always 0: each path is combined inside the trajectory loop. Kept for
+  /// the afdx-bench/1 schema.
   Microseconds combine_wall_us = 0.0;
+  /// The calls' wall time: the phases plus run_incremental's planning.
   Microseconds total_wall_us = 0.0;
   /// Process CPU time across all workers (>= wall time when the pool is
-  /// busy); wall vs cpu exposes how much of the run actually parallelized.
+  /// busy); wall vs cpu exposes how much of the work parallelized.
   Microseconds total_cpu_us = 0.0;
-  /// Propagation levels of the last WCNC pass (0 for cyclic fallback) and
-  /// the widest level -- the parallelism ceiling of the netcalc phase. Set
-  /// by every entry point that runs a WCNC pass.
+  CacheStats cache;
+  /// All shared trajectory prefix caches of this engine.
+  trajectory::PrefixCacheStats prefix;
+  /// Chunks stolen by the work-stealing scheduler.
+  std::uint64_t steals = 0;
+  /// Scheduled work items executed per worker (ports in the WCNC phase, VL
+  /// shards in the trajectory phase).
+  std::vector<std::size_t> tasks_per_thread;
+  int threads = 1;
+
+  // Per-call: the most recent entry point call, or the most recent one
+  // that ran the phase named.
+  /// Propagation levels of the most recent WCNC pass (0 for cyclic
+  /// fallback) and the widest level -- the netcalc parallelism ceiling.
   std::size_t levels = 0;
   std::size_t max_level_width = 0;
-  /// VL paths bounded by the most recent run/netcalc_only/trajectory_only.
   std::size_t paths = 0;
-  /// Throughput of the most recent run (paths / its wall time).
+  /// paths / the call's wall time.
   double paths_per_second = 0.0;
-  /// Cumulative per-port cache statistics.
-  CacheStats cache;
-  /// Per-port cache activity of the most recent run (delta of `cache`).
+  /// The call's share of `cache` and `prefix`.
   CacheStats cache_run;
-  /// Cumulative shared trajectory prefix-cache statistics (all caches of
-  /// this engine) and the most recent run's delta.
-  trajectory::PrefixCacheStats prefix;
   trajectory::PrefixCacheStats prefix_run;
-  /// Cumulative chunks stolen by the work-stealing scheduler.
-  std::uint64_t steals = 0;
   /// Per-worker shard statistics of the most recent trajectory phase
   /// (empty until one ran). Ordered by worker index; workers that never
   /// picked up trajectory work are omitted.
   std::vector<ShardMetrics> shards;
   /// Outcome of the most recent run_incremental.
   IncrementalStats incremental;
-  int threads = 1;
-  /// Cumulative scheduled work items executed per worker (ports in the
-  /// WCNC phase, VL shards in the trajectory phase).
-  std::vector<std::size_t> tasks_per_thread;
 
   /// Human-readable multi-line summary.
   void print(std::ostream& out) const;
@@ -220,7 +225,8 @@ struct StreamPathResult {
 };
 
 /// Running aggregate of a streaming run -- everything a 100k-VL capacity
-/// sweep needs without materializing per-path vectors or reports.
+/// sweep needs without materializing per-path vectors or reports. The run's
+/// timing, port-cache and shard figures are in AnalysisEngine::metrics().
 struct StreamSummary {
   std::size_t paths = 0;
   std::size_t ok = 0;
@@ -234,16 +240,8 @@ struct StreamSummary {
   /// order follows path completion order, so the last bits of the mean may
   /// differ between thread counts; every per-path bound is still exact.
   Microseconds sum_combined = 0.0;
-  double wall_us = 0.0;
-  double paths_per_second = 0.0;
-  /// Per-run cache activity (deltas over this run): the per-port WCNC
-  /// cache and the shared trajectory prefix cache. A warm re-run of the
-  /// same configuration on the same engine shows nonzero hits here; all
-  /// zeros on a re-run means the reuse machinery is broken.
-  CacheStats port_cache;
+  /// The run's RunMetrics::prefix_run.
   trajectory::PrefixCacheStats prefix_cache;
-  /// Per-worker shard statistics of the trajectory phase (see ShardMetrics).
-  std::vector<ShardMetrics> shards;
 
   [[nodiscard]] Microseconds mean_combined() const noexcept {
     return ok == 0 ? 0.0 : sum_combined / static_cast<Microseconds>(ok);
@@ -329,7 +327,6 @@ class AnalysisEngine {
   [[nodiscard]] int thread_count() const noexcept {
     return pool_.thread_count();
   }
-  [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   /// Metrics accumulated since construction.
   [[nodiscard]] RunMetrics metrics() const;
 
@@ -364,23 +361,31 @@ class AnalysisEngine {
                                        Microseconds trajectory,
                                        const PathStatus& status)>;
 
+  /// Clocks and cache counters at the start of an entry point call.
+  struct CallStart {
+    std::chrono::steady_clock::time_point wall;
+    Microseconds cpu_us = 0.0;
+    CacheStats cache;
+    trajectory::PrefixCacheStats prefix;
+  };
+
   struct PipelineResult {
     StreamSummary summary;
     WcncPass wcnc;
     std::uint64_t tj_key = 0;
   };
 
-  /// Steps 1-4 into `sink`.
+  /// Steps 1-4 into `sink`; ends the call that began at `start`.
   PipelineResult pipeline(const netcalc::Options& nc_options,
                           const trajectory::Options& tj_options,
                           const RunControl& control,
                           const IncrementalReuse& reuse,
-                          const StreamSink& sink);
+                          const CallStart& start, const StreamSink& sink);
   /// The pipeline collected into a RunResult.
   RunResult collect(const netcalc::Options& nc_options,
                     const trajectory::Options& tj_options,
                     const RunControl& control,
-                    const IncrementalReuse& reuse);
+                    const IncrementalReuse& reuse, const CallStart& start);
 
   /// Step 1: the contained WCNC pass, by levels (whole-pass granularity on
   /// a cyclic configuration).
@@ -406,9 +411,11 @@ class AnalysisEngine {
   [[nodiscard]] Microseconds wcnc_path_bound(std::size_t path,
                                              const WcncPass& pass,
                                              PathStatus& status) const;
-  /// Adds one call's phase times to the metrics.
-  void record_phases(Microseconds netcalc_us, Microseconds trajectory_us,
-                     Microseconds combine_us, std::size_t paths);
+  [[nodiscard]] CallStart begin_call();
+  /// Ends an entry point call: adds to the cumulative metrics and sets the
+  /// per-call ones.
+  void finish_call(const CallStart& start, Microseconds netcalc_us,
+                   Microseconds trajectory_us, std::size_t paths);
 
   /// Topology-aware VL schedule of the trajectory phase: VLs sorted
   /// lexicographically by their first path's link sequence (ties by id),
@@ -424,10 +431,10 @@ class AnalysisEngine {
   /// context, so the cache persists across runs of this engine.
   std::shared_ptr<trajectory::PrefixCache> prefix_cache_for(
       std::uint64_t tj_key, std::uint64_t caps_sig);
-  /// Sum of the stats of every prefix cache of this engine.
-  [[nodiscard]] trajectory::PrefixCacheStats prefix_stats_total() const;
 
   const TrafficConfig& cfg_;
+  /// Shared with the prefix caches, which may outlive the engine.
+  std::shared_ptr<obs::Registry> scope_;
   ThreadPool pool_;
   PortCache cache_;
   std::optional<netcalc::PortFlowIndex> flow_index_;

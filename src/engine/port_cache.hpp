@@ -9,7 +9,8 @@
 // queue backlogs) from the same entries instead of re-running the whole
 // envelope analysis per worker.
 //
-// Hit/miss counters feed the engine's RunMetrics.
+// Hits, misses, seeds and evictions count in the owner's obs scope
+// (engine.cache.*), which feeds the engine's RunMetrics.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include <utility>
 
 #include "netcalc/netcalc_analyzer.hpp"
+#include "obs/counters.hpp"
 
 namespace afdx::engine {
 
@@ -54,6 +56,9 @@ static_assert(sizeof(netcalc::Options) == 8,
 
 class PortCache {
  public:
+  /// Counts into `scope`, which must outlive the cache.
+  explicit PortCache(obs::Registry& scope);
+
   /// Digest of the option fields the cached bounds depend on: an FNV-1a
   /// hash over each field, byte by byte. Unlike ad-hoc bit packing this
   /// cannot silently alias two distinct option sets when a field grows or
@@ -104,10 +109,11 @@ class PortCache {
 
   mutable std::mutex mu_;
   std::map<Key, netcalc::PortBounds> entries_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  std::uint64_t seeded_ = 0;
-  std::uint64_t evicted_ = 0;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& seeded_;
+  obs::Counter& evicted_;
+  obs::Counter& max_entries_;
 };
 
 }  // namespace afdx::engine

@@ -45,8 +45,7 @@ void RunMetrics::print(std::ostream& out) const {
       << finite_or_zero(paths_per_second) << " paths/s\n"
       << std::setprecision(3) << "  wall ms: netcalc "
       << netcalc_wall_us / 1000.0 << " | trajectory "
-      << trajectory_wall_us / 1000.0 << " | combine "
-      << combine_wall_us / 1000.0 << " | total " << total_wall_us / 1000.0
+      << trajectory_wall_us / 1000.0 << " | total " << total_wall_us / 1000.0
       << "\n"
       << "  cpu ms: " << total_cpu_us / 1000.0 << " ("
       << std::setprecision(2)

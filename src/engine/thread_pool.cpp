@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "obs/counters.hpp"
 
 namespace afdx::engine {
 
@@ -13,7 +12,8 @@ int ThreadPool::resolve_thread_count(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int threads) : threads_(threads) {
+ThreadPool::ThreadPool(int threads, obs::Registry& scope)
+    : threads_(threads), steals_(scope.counter("engine.pool.steals")) {
   AFDX_REQUIRE(threads_ >= 1, "ThreadPool: thread count must be >= 1");
   executed_.assign(static_cast<std::size_t>(threads_), 0);
   failures_.assign(static_cast<std::size_t>(threads_), Failure{});
@@ -163,8 +163,6 @@ std::vector<ThreadPool::TaskFailure> ThreadPool::parallel_for_contained(
 
 bool ThreadPool::claim_chunk(int worker, std::size_t& begin,
                              std::size_t& end) {
-  static obs::Counter& steal_counter =
-      obs::registry().counter("engine.pool.steals");
   std::lock_guard<std::mutex> lock(dyn_mu_);
   DynRange& own = dyn_ranges_[static_cast<std::size_t>(worker)];
   if (own.next < own.end) {
@@ -191,8 +189,7 @@ bool ThreadPool::claim_chunk(int worker, std::size_t& begin,
   begin = v.end - take;
   end = v.end;
   v.end = begin;
-  ++steals_;
-  steal_counter.add();
+  steals_.add();
   return true;
 }
 
@@ -302,11 +299,6 @@ std::vector<ThreadPool::TaskFailure> ThreadPool::parallel_for_dynamic_contained(
               return a.index < b.index;
             });
   return out;
-}
-
-std::uint64_t ThreadPool::steal_count() const {
-  std::lock_guard<std::mutex> lock(dyn_mu_);
-  return steals_;
 }
 
 std::vector<std::size_t> ThreadPool::tasks_per_thread() const {

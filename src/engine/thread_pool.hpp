@@ -25,14 +25,17 @@
 #include <thread>
 #include <vector>
 
+#include "obs/counters.hpp"
+
 namespace afdx::engine {
 
 class ThreadPool {
  public:
   /// Spawns `threads - 1` workers (the calling thread acts as worker 0).
   /// `threads` must be >= 1; use resolve_thread_count to map a user-facing
-  /// "0 = auto" request to a concrete count.
-  explicit ThreadPool(int threads);
+  /// "0 = auto" request to a concrete count. Stolen chunks are counted as
+  /// engine.pool.steals in `scope`, which must outlive the pool.
+  explicit ThreadPool(int threads, obs::Registry& scope = obs::registry());
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -85,9 +88,6 @@ class ThreadPool {
   [[nodiscard]] std::vector<TaskFailure> parallel_for_dynamic_contained(
       std::size_t n, const std::function<void(std::size_t, int)>& body);
 
-  /// Cumulative number of chunks stolen across all dynamic batches.
-  [[nodiscard]] std::uint64_t steal_count() const;
-
   /// Cumulative number of indices executed per worker, since construction.
   [[nodiscard]] std::vector<std::size_t> tasks_per_thread() const;
 
@@ -138,10 +138,10 @@ class ThreadPool {
     std::size_t next = 0;
     std::size_t end = 0;
   };
-  mutable std::mutex dyn_mu_;          // guards ranges, chunk size, steals
+  mutable std::mutex dyn_mu_;          // guards ranges and chunk size
   std::vector<DynRange> dyn_ranges_;
   std::size_t dyn_chunk_ = 1;
-  std::uint64_t steals_ = 0;
+  obs::Counter& steals_;
   /// Per-worker failure lists of the current dynamic batch; each worker
   /// touches only its own slot until the batch barrier.
   std::vector<std::vector<Failure>> dyn_failures_;

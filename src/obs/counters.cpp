@@ -21,6 +21,7 @@ void Histogram::observe(std::uint64_t v) noexcept {
   while (v > cur &&
          !max_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
+  if (parent_ != nullptr) parent_->observe(v);
 }
 
 std::uint64_t Histogram::min() const noexcept {
@@ -45,9 +46,9 @@ void Histogram::reset() noexcept {
   max_.store(0, std::memory_order_relaxed);
 }
 
-Registry& Registry::instance() {
-  static Registry registry;
-  return registry;
+Registry& registry() {
+  static Registry root;
+  return root;
 }
 
 Counter& Registry::counter(const std::string& name) {
@@ -55,7 +56,9 @@ Counter& Registry::counter(const std::string& name) {
   for (auto& [n, c] : counters_) {
     if (n == name) return *c;
   }
-  counters_.emplace_back(name, std::make_unique<Counter>());
+  // Lock order is always child before parent, so nesting cannot deadlock.
+  Counter* up = parent_ != nullptr ? &parent_->counter(name) : nullptr;
+  counters_.emplace_back(name, std::make_unique<Counter>(up));
   return *counters_.back().second;
 }
 
@@ -64,7 +67,8 @@ Histogram& Registry::histogram(const std::string& name) {
   for (auto& [n, h] : histograms_) {
     if (n == name) return *h;
   }
-  histograms_.emplace_back(name, std::make_unique<Histogram>());
+  Histogram* up = parent_ != nullptr ? &parent_->histogram(name) : nullptr;
+  histograms_.emplace_back(name, std::make_unique<Histogram>(up));
   return *histograms_.back().second;
 }
 

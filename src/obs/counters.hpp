@@ -1,14 +1,17 @@
-// Process-wide counter / histogram registry.
+// Named counter / histogram registries, nested as scopes.
 //
-// Absorbs and extends engine::RunMetrics: layers increment named counters
-// (cache hits, ports computed, fixed-point rounds, ...) and observe named
-// histograms (per-level parallelism, per-phase wall time, ...) without
-// threading a metrics object through every call.
+// obs::registry() is the process root. An owner of attributable work (an
+// engine::AnalysisEngine, a serve::Service) holds a child Registry, its
+// scope, whose instruments forward each update to the parent's instrument
+// of the same name: every event is counted once, in its owner's scope, and
+// still reaches the process totals. Layers with no owner (analyzer work
+// counters, the server's queue depth) count into the root directly.
 //
-// Hot-path contract: resolve the counter once per call site
-// (`static obs::Counter& c = obs::registry().counter("x");`), then each
-// update is a single relaxed atomic add. Registration is mutex-guarded and
-// returns stable references (nodes are heap-allocated, never moved).
+// Hot-path contract: resolve an instrument once (at construction, or
+// `static obs::Counter& c = obs::registry().counter("x");`), then each
+// update is one relaxed atomic add per scope level. Registration is
+// mutex-guarded and returns stable references (nodes are heap-allocated,
+// never moved).
 #pragma once
 
 #include <atomic>
@@ -23,8 +26,13 @@ namespace afdx::obs {
 
 class Counter {
  public:
+  /// Every update is applied to `parent` too (null = none); the same holds
+  /// for Histogram.
+  explicit Counter(Counter* parent = nullptr) noexcept : parent_(parent) {}
+
   void add(std::uint64_t delta = 1) noexcept {
     value_.fetch_add(delta, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->add(delta);
   }
 
   /// Raise the counter to at least `candidate` (e.g. max queue depth seen).
@@ -34,6 +42,7 @@ class Counter {
            !value_.compare_exchange_weak(cur, candidate,
                                          std::memory_order_relaxed)) {
     }
+    if (parent_ != nullptr) parent_->record_max(candidate);
   }
 
   [[nodiscard]] std::uint64_t value() const noexcept {
@@ -43,6 +52,7 @@ class Counter {
   void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
+  Counter* parent_;
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -52,6 +62,8 @@ class Counter {
 class Histogram {
  public:
   static constexpr std::size_t kBuckets = 64;
+
+  explicit Histogram(Histogram* parent = nullptr) noexcept : parent_(parent) {}
 
   void observe(std::uint64_t v) noexcept;
 
@@ -71,6 +83,7 @@ class Histogram {
   void reset() noexcept;
 
  private:
+  Histogram* parent_;
   std::atomic<std::uint64_t> buckets_[kBuckets]{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
@@ -94,30 +107,33 @@ struct HistogramSnapshot {
 
 class Registry {
  public:
-  static Registry& instance();
+  /// A scope whose instruments forward every update to the instrument of
+  /// the same name in `parent`, which must outlive it (null = a root).
+  explicit Registry(Registry* parent = nullptr) noexcept : parent_(parent) {}
 
-  /// Find-or-create; returned reference is stable for the process lifetime.
+  /// Find-or-create; the returned reference is stable for the registry's
+  /// lifetime.
   Counter& counter(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   [[nodiscard]] std::vector<CounterSnapshot> counters() const;
   [[nodiscard]] std::vector<HistogramSnapshot> histograms() const;
 
-  /// Zero every counter and histogram (names stay registered).
+  /// Zero every counter and histogram of this registry (names stay
+  /// registered; parent and children keep their values).
   void reset();
 
   /// Human-readable dump, sorted by name; used by `--metrics`-style output.
   void print(std::ostream& out) const;
 
  private:
-  Registry() = default;
-
+  Registry* parent_;
   mutable std::mutex mu_;
   std::vector<std::pair<std::string, std::unique_ptr<Counter>>> counters_;
   std::vector<std::pair<std::string, std::unique_ptr<Histogram>>> histograms_;
 };
 
-/// Shorthand for Registry::instance().
-[[nodiscard]] inline Registry& registry() { return Registry::instance(); }
+/// The process root.
+[[nodiscard]] Registry& registry();
 
 }  // namespace afdx::obs

@@ -13,7 +13,6 @@
 #include "faults/report.hpp"
 #include "faults/scenario.hpp"
 #include "obs/bench_json.hpp"
-#include "obs/counters.hpp"
 #include "obs/trace.hpp"
 
 namespace afdx::serve {
@@ -193,8 +192,7 @@ std::string Service::handle_line(const std::string& line) {
   try {
     return handle(parse_request(line));
   } catch (const std::exception& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    obs::registry().counter("serve.errors").add();
+    note_rejected(errors_);
     return error_response(peek_request_id(line), e.what());
   }
 }
@@ -202,8 +200,7 @@ std::string Service::handle_line(const std::string& line) {
 std::string Service::handle(const Request& req) {
   AFDX_TRACE_SPAN("serve.request", "serve");
   const auto t0 = Clock::now();
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  obs::registry().counter("serve.requests").add();
+  requests_.add();
   std::string response;
   try {
     switch (req.op) {
@@ -227,36 +224,21 @@ std::string Service::handle(const Request& req) {
         break;
     }
   } catch (const std::exception& e) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    obs::registry().counter("serve.errors").add();
+    errors_.add();
     response = error_response(req.id, e.what());
   }
-  obs::registry()
-      .histogram("serve.request_wall_us")
-      .observe(static_cast<std::uint64_t>(elapsed_us(t0)));
+  latency_.observe(static_cast<std::uint64_t>(elapsed_us(t0)));
   return response;
 }
 
-void Service::note_overloaded() noexcept {
-  overloaded_.fetch_add(1, std::memory_order_relaxed);
-  obs::registry().counter("serve.overloaded").add();
+void Service::note_rejected(obs::Counter& reason) noexcept {
+  requests_.add();
+  reason.add();
 }
 
-void Service::note_error() noexcept {
-  errors_.fetch_add(1, std::memory_order_relaxed);
-  obs::registry().counter("serve.errors").add();
-}
+void Service::note_overloaded() noexcept { note_rejected(overloaded_); }
 
-void Service::note_run(const engine::RunResult& result) noexcept {
-  const engine::RunMetrics& m = result.metrics;
-  port_hits_.fetch_add(m.cache_run.hits, std::memory_order_relaxed);
-  port_misses_.fetch_add(m.cache_run.misses, std::memory_order_relaxed);
-  prefix_hits_.fetch_add(m.prefix_run.hits, std::memory_order_relaxed);
-  prefix_misses_.fetch_add(m.prefix_run.misses, std::memory_order_relaxed);
-  seeded_ports_.fetch_add(m.incremental.seeded_ports,
-                          std::memory_order_relaxed);
-  dirty_ports_.fetch_add(m.incremental.dirty_ports, std::memory_order_relaxed);
-}
+void Service::note_error() noexcept { note_rejected(errors_); }
 
 std::string Service::handle_status(const Request& req) {
   std::ostringstream out;
@@ -281,9 +263,9 @@ std::string Service::handle_status(const Request& req) {
 
   w.key("requests")
       .begin_object()
-      .field("total", requests_.load(std::memory_order_relaxed))
-      .field("errors", errors_.load(std::memory_order_relaxed))
-      .field("overloaded", overloaded_.load(std::memory_order_relaxed))
+      .field("total", requests_.value())
+      .field("errors", errors_.value())
+      .field("overloaded", overloaded_.value())
       .end_object();
 
   const QueueInfo q = queue_probe_ ? queue_probe_() : QueueInfo{};
@@ -293,35 +275,27 @@ std::string Service::handle_status(const Request& req) {
       .field("capacity", q.capacity)
       .end_object();
 
-  const std::uint64_t ph = port_hits_.load(std::memory_order_relaxed);
-  const std::uint64_t pm = port_misses_.load(std::memory_order_relaxed);
-  const std::uint64_t th = prefix_hits_.load(std::memory_order_relaxed);
-  const std::uint64_t tm = prefix_misses_.load(std::memory_order_relaxed);
-  const auto rate = [](std::uint64_t hits, std::uint64_t misses) {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits) / static_cast<double>(total);
-  };
+  const engine::CacheStats port{port_hits_.value(), port_misses_.value()};
+  const trajectory::PrefixCacheStats prefix{prefix_hits_.value(),
+                                            prefix_misses_.value()};
   w.key("caches")
       .begin_object()
-      .field("port_hits", ph)
-      .field("port_misses", pm)
-      .field("port_hit_rate", rate(ph, pm))
-      .field("prefix_hits", th)
-      .field("prefix_misses", tm)
-      .field("prefix_hit_rate", rate(th, tm))
-      .field("seeded_ports", seeded_ports_.load(std::memory_order_relaxed))
-      .field("dirty_ports", dirty_ports_.load(std::memory_order_relaxed))
+      .field("port_hits", port.hits)
+      .field("port_misses", port.misses)
+      .field("port_hit_rate", port.hit_rate())
+      .field("prefix_hits", prefix.hits)
+      .field("prefix_misses", prefix.misses)
+      .field("prefix_hit_rate", prefix.hit_rate())
+      .field("seeded_ports", seeded_ports_.value())
+      .field("dirty_ports", dirty_ports_.value())
       .end_object();
 
-  const obs::Histogram& lat =
-      obs::registry().histogram("serve.request_wall_us");
   w.key("latency_us")
       .begin_object()
-      .field("count", lat.count())
-      .field("mean", lat.mean())
-      .field("min", lat.min())
-      .field("max", lat.max())
+      .field("count", latency_.count())
+      .field("mean", latency_.mean())
+      .field("min", latency_.min())
+      .field("max", latency_.max())
       .end_object();
 
   w.end_object();
@@ -417,7 +391,13 @@ std::string Service::handle_whatif(const Request& req) {
   } else {
     run = session.analyze(control);
   }
-  note_run(run);
+  const engine::RunMetrics& m = run.metrics;
+  port_hits_.add(m.cache_run.hits);
+  port_misses_.add(m.cache_run.misses);
+  prefix_hits_.add(m.prefix_run.hits);
+  prefix_misses_.add(m.prefix_run.misses);
+  seeded_ports_.add(m.incremental.seeded_ports);
+  dirty_ports_.add(m.incremental.dirty_ports);
 
   // "ladder" rider: re-bound the overlaid configuration with the budgeted
   // accuracy/cost ladder and report how much the escalation tightened.

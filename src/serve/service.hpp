@@ -20,16 +20,19 @@
 //                     rungs until the "ladder" budget is spent; whatif
 //                     requests can carry the same "ladder" object to get a
 //                     budgeted-ladder summary of the overlaid configuration;
-//   * status       -- uptime, per-baseline summaries, request counters,
-//                     aggregate cache hit rates and the server's queue
-//                     depth (via the pluggable queue probe);
+//   * status       -- uptime, per-baseline summaries, this Service's
+//                     request counters, cache sums and latency, and the
+//                     server's queue depth (via the pluggable queue probe);
 //   * shutdown     -- acknowledged and latched for the server loop.
 //
 // Concurrency contract: baselines are registered before serving starts and
 // are immutable afterwards; handle()/handle_line() may then be called from
 // any number of threads concurrently. Each request builds its own
 // OverlaySession/engine, so the only shared state is the baseline (safe for
-// concurrent readers) and this class's atomic counters.
+// concurrent readers) and this class's obs scope, a child of the process
+// root. It counts every answered line (serve.requests, rejections
+// included), the latency of parsed requests and the per-request engines'
+// cache sums; status reads only this scope.
 //
 // Failure contract: handle_line never throws. Parse errors, unknown
 // VLs/configs, malformed fault specs -- every problem becomes one
@@ -49,6 +52,7 @@
 #include <vector>
 
 #include "engine/session.hpp"
+#include "obs/counters.hpp"
 #include "serve/protocol.hpp"
 
 namespace afdx::serve {
@@ -125,7 +129,8 @@ class Service {
   /// Baseline of the request, or throws the error the response should carry.
   [[nodiscard]] const engine::BaselineState& baseline_for(const Request& req) const;
 
-  void note_run(const engine::RunResult& result) noexcept;
+  /// Counts one answered line that was rejected for `reason`.
+  void note_rejected(obs::Counter& reason) noexcept;
 
   ServiceOptions options_;
   std::vector<std::pair<std::string,
@@ -135,17 +140,17 @@ class Service {
   std::chrono::steady_clock::time_point start_;
 
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> overloaded_{0};
-  /// Aggregate per-request engine cache traffic (the per-request engines
-  /// are ephemeral, so their run deltas are accumulated here).
-  std::atomic<std::uint64_t> port_hits_{0};
-  std::atomic<std::uint64_t> port_misses_{0};
-  std::atomic<std::uint64_t> prefix_hits_{0};
-  std::atomic<std::uint64_t> prefix_misses_{0};
-  std::atomic<std::uint64_t> seeded_ports_{0};
-  std::atomic<std::uint64_t> dirty_ports_{0};
+  obs::Registry scope_{&obs::registry()};
+  obs::Counter& requests_ = scope_.counter("serve.requests");
+  obs::Counter& errors_ = scope_.counter("serve.errors");
+  obs::Counter& overloaded_ = scope_.counter("serve.overloaded");
+  obs::Histogram& latency_ = scope_.histogram("serve.request_wall_us");
+  obs::Counter& port_hits_ = scope_.counter("serve.cache.port_hits");
+  obs::Counter& port_misses_ = scope_.counter("serve.cache.port_misses");
+  obs::Counter& prefix_hits_ = scope_.counter("serve.cache.prefix_hits");
+  obs::Counter& prefix_misses_ = scope_.counter("serve.cache.prefix_misses");
+  obs::Counter& seeded_ports_ = scope_.counter("serve.incremental.seeded");
+  obs::Counter& dirty_ports_ = scope_.counter("serve.incremental.dirty");
 };
 
 }  // namespace afdx::serve

@@ -1,25 +1,33 @@
 #include "trajectory/prefix_cache.hpp"
 
-#include "obs/counters.hpp"
+#include <utility>
 
 namespace afdx::trajectory {
 
+constexpr const char* kHits = "trajectory.prefix_cache.hits";
+constexpr const char* kMisses = "trajectory.prefix_cache.misses";
+constexpr const char* kSeeded = "trajectory.prefix_cache.seeded";
+
+PrefixCacheStats prefix_cache_stats(obs::Registry& scope) {
+  return PrefixCacheStats{scope.counter(kHits).value(),
+                          scope.counter(kMisses).value(),
+                          scope.counter(kSeeded).value()};
+}
+
+PrefixCache::PrefixCache(std::shared_ptr<obs::Registry> scope)
+    : scope_(std::move(scope)),
+      hits_(scope_->counter(kHits)),
+      misses_(scope_->counter(kMisses)),
+      seeded_(scope_->counter(kSeeded)) {}
+
 std::optional<Microseconds> PrefixCache::lookup(VlId vl, LinkId link) {
-  // Process-wide counters for the observability registry, on top of the
-  // per-cache stats that feed the engine's RunMetrics.
-  static obs::Counter& hits =
-      obs::registry().counter("trajectory.prefix_cache.hits");
-  static obs::Counter& misses =
-      obs::registry().counter("trajectory.prefix_cache.misses");
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key(vl, link));
   if (it == entries_.end()) {
-    ++stats_.misses;
-    misses.add();
+    misses_.add();
     return std::nullopt;
   }
-  ++stats_.hits;
-  hits.add();
+  hits_.add();
   return it->second;
 }
 
@@ -29,12 +37,9 @@ void PrefixCache::store(VlId vl, LinkId link, Microseconds bound) {
 }
 
 void PrefixCache::seed(VlId vl, LinkId link, Microseconds bound) {
-  static obs::Counter& seeded =
-      obs::registry().counter("trajectory.prefix_cache.seeded");
   std::lock_guard<std::mutex> lock(mu_);
   entries_[key(vl, link)] = bound;
-  ++stats_.seeded;
-  seeded.add();
+  seeded_.add();
 }
 
 std::optional<Microseconds> PrefixCache::peek(VlId vl, LinkId link) const {
@@ -42,11 +47,6 @@ std::optional<Microseconds> PrefixCache::peek(VlId vl, LinkId link) const {
   const auto it = entries_.find(key(vl, link));
   if (it == entries_.end()) return std::nullopt;
   return it->second;
-}
-
-PrefixCacheStats PrefixCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 std::size_t PrefixCache::size() const {

@@ -14,13 +14,18 @@
 // cone is untouched by the change -- see the dirty-cone discussion in
 // README. seed() therefore overwrites, unlike store() which keeps the
 // first value (all writers compute identical bounds).
+//
+// Lookups and seeds count in the owning engine's obs scope, which the cache
+// co-owns: it can outlive the engine (RunResult::prefixes, BaselineState).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
 
+#include "obs/counters.hpp"
 #include "vl/traffic_config.hpp"
 
 namespace afdx::trajectory {
@@ -45,8 +50,13 @@ inline PrefixCacheStats operator-(const PrefixCacheStats& now,
                           now.seeded - then.seeded};
 }
 
+/// The prefix-cache counters of `scope`, summed over its caches.
+[[nodiscard]] PrefixCacheStats prefix_cache_stats(obs::Registry& scope);
+
 class PrefixCache {
  public:
+  explicit PrefixCache(std::shared_ptr<obs::Registry> scope);
+
   /// Returns the cached bound of (vl, link) and counts a hit, or nullopt
   /// and counts a miss. Thread-safe.
   [[nodiscard]] std::optional<Microseconds> lookup(VlId vl, LinkId link);
@@ -63,7 +73,6 @@ class PrefixCache {
   /// enumerate a finished baseline cache during incremental planning.
   [[nodiscard]] std::optional<Microseconds> peek(VlId vl, LinkId link) const;
 
-  [[nodiscard]] PrefixCacheStats stats() const;
   /// Distinct (vl, link) entries currently stored. Thread-safe.
   [[nodiscard]] std::size_t size() const;
 
@@ -74,7 +83,10 @@ class PrefixCache {
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, Microseconds> entries_;
-  PrefixCacheStats stats_;
+  std::shared_ptr<obs::Registry> scope_;
+  obs::Counter& hits_;
+  obs::Counter& misses_;
+  obs::Counter& seeded_;
 };
 
 }  // namespace afdx::trajectory

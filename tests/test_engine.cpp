@@ -189,22 +189,22 @@ TEST(EngineCache, TrajectoryCapsReuseTheNetcalcRun) {
   for (LinkId l = 0; l < cfg.network().link_count(); ++l) {
     if (!cfg.vls_on_link(l).empty()) ++used_ports;
   }
-  EXPECT_EQ(eng.cache_stats().misses, used_ports);
-  EXPECT_EQ(eng.cache_stats().hits, 0u);
+  EXPECT_EQ(eng.metrics().cache.misses, used_ports);
+  EXPECT_EQ(eng.metrics().cache.hits, 0u);
   // A later trajectory-only call derives its caps from a pass served
   // entirely by the cache.
   (void)eng.trajectory_only();
-  EXPECT_EQ(eng.cache_stats().misses, used_ports);
-  EXPECT_EQ(eng.cache_stats().hits, used_ports);
+  EXPECT_EQ(eng.metrics().cache.misses, used_ports);
+  EXPECT_EQ(eng.metrics().cache.hits, used_ports);
 }
 
 TEST(EngineCache, SecondRunIsAllHits) {
   const TrafficConfig cfg = small_industrial();
   AnalysisEngine eng(cfg, Options{2});
   (void)eng.run();
-  const CacheStats after_first = eng.cache_stats();
+  const CacheStats after_first = eng.metrics().cache;
   (void)eng.run();
-  const CacheStats after_second = eng.cache_stats();
+  const CacheStats after_second = eng.metrics().cache;
   EXPECT_EQ(after_second.misses, after_first.misses);
   EXPECT_GT(after_second.hits, after_first.hits);
 }
@@ -293,7 +293,8 @@ TEST(ThreadPool, ReuseAccumulatesAcrossBatchesAndSurvivesFailures) {
 }
 
 TEST(PortCacheConcurrency, MixedHitMissLoadKeepsCountersConsistent) {
-  PortCache cache;
+  obs::Registry scope;
+  PortCache cache(scope);
   const std::uint64_t key = PortCache::options_key(netcalc::Options{});
   constexpr LinkId kPorts = 20;
   auto bounds_for = [](LinkId port) {
@@ -346,7 +347,8 @@ TEST(PortCacheConcurrency, MixedHitMissLoadKeepsCountersConsistent) {
 }
 
 TEST(PortCacheConcurrency, DistinctOptionKeysIsolateEntries) {
-  PortCache cache;
+  obs::Registry scope;
+  PortCache cache(scope);
   netcalc::Options grouped;
   netcalc::Options ungrouped;
   ungrouped.grouping = false;
@@ -618,24 +620,26 @@ TEST(Engine, StreamingMatchesResilientBitIdentically) {
         }
       }
       EXPECT_EQ(s.max_combined, max_combined);
-      EXPECT_GT(s.paths_per_second, 0.0);
+      EXPECT_GT(eng.metrics().paths_per_second, 0.0);
     }
   }
 }
 
-// The streaming summary carries the run's own cache deltas and per-shard
-// counters, so reuse is observable from the summary alone. Regression
+// The engine's per-call metrics carry each run's own cache deltas and
+// per-shard counters, so reuse is observable run by run. Regression
 // test for the zero-reuse blind spot: a fresh single-thread run answers
 // every repeat lookup from the shard-local memo, so only a warm rerun
 // (fresh analyzers, same engine) exercises the shared caches -- the
-// second summary must show port-cache and prefix-cache hits, not zeros.
+// second run must show port-cache and prefix-cache hits, not zeros.
 TEST(Engine, StreamingWarmRerunHitsSharedCaches) {
   const TrafficConfig cfg = small_industrial();
   const std::size_t n = cfg.all_paths().size();
   for (int threads : {1, 4}) {
     AnalysisEngine eng(cfg, {threads});
     const StreamSummary cold = eng.run_streaming(nullptr);
+    const RunMetrics cold_m = eng.metrics();
     const StreamSummary warm = eng.run_streaming(nullptr);
+    const RunMetrics warm_m = eng.metrics();
 
     // Warm results match cold ones (the max is order-independent; the
     // running sum is accumulated in completion order, which legitimately
@@ -648,22 +652,22 @@ TEST(Engine, StreamingWarmRerunHitsSharedCaches) {
 
     // The cold run populates: its delta shows misses (and no port hits on
     // a fresh engine beyond the netcalc pass's own reuse is required).
-    EXPECT_GT(cold.port_cache.misses, 0u) << "threads=" << threads;
+    EXPECT_GT(cold_m.cache_run.misses, 0u) << "threads=" << threads;
     EXPECT_GT(cold.prefix_cache.misses, 0u) << "threads=" << threads;
 
     // The warm run reuses: every port bound and trajectory prefix is
     // served from the shared caches.
-    EXPECT_GT(warm.port_cache.hits, 0u) << "threads=" << threads;
-    EXPECT_EQ(warm.port_cache.misses, 0u) << "threads=" << threads;
+    EXPECT_GT(warm_m.cache_run.hits, 0u) << "threads=" << threads;
+    EXPECT_EQ(warm_m.cache_run.misses, 0u) << "threads=" << threads;
     EXPECT_GT(warm.prefix_cache.hits, 0u) << "threads=" << threads;
 
     // Per-shard accounting covers the whole run: every VL work item and
     // every path landed in exactly one shard, and the warm shards saw
     // shared-cache hits.
-    ASSERT_FALSE(warm.shards.empty());
+    ASSERT_FALSE(warm_m.shards.empty());
     std::size_t shard_vls = 0, shard_paths = 0;
     std::uint64_t shard_lookups = 0, shard_shared_hits = 0;
-    for (const ShardMetrics& s : warm.shards) {
+    for (const ShardMetrics& s : warm_m.shards) {
       shard_vls += s.vls;
       shard_paths += s.paths;
       shard_lookups += s.lookups;
@@ -673,7 +677,7 @@ TEST(Engine, StreamingWarmRerunHitsSharedCaches) {
     EXPECT_EQ(shard_paths, n) << "threads=" << threads;
     EXPECT_GT(shard_lookups, 0u);
     EXPECT_GT(shard_shared_hits, 0u);
-    for (const ShardMetrics& s : warm.shards) {
+    for (const ShardMetrics& s : warm_m.shards) {
       EXPECT_LE(s.local_hits + s.shared_hits, s.lookups);
       EXPECT_GE(s.hit_rate(), 0.0);
       EXPECT_LE(s.hit_rate(), 1.0);
@@ -778,8 +782,9 @@ TEST(ThreadPool, DynamicStealsFromABlockedWorker) {
   // n = 20 with 2 workers gives chunk size 1, so once worker 0 parks
   // inside index 0, every other index of its half must be stolen by
   // worker 1 before the wait below can complete.
-  ThreadPool pool(2);
-  const std::uint64_t steals_before = pool.steal_count();
+  obs::Registry scope;
+  ThreadPool pool(2, scope);
+  const obs::Counter& steals = scope.counter("engine.pool.steals");
   std::atomic<int> done{0};
   pool.parallel_for_dynamic(20, [&](std::size_t i, int) {
     if (i == 0) {
@@ -789,11 +794,12 @@ TEST(ThreadPool, DynamicStealsFromABlockedWorker) {
     }
   });
   EXPECT_EQ(done.load(), 19);
-  EXPECT_GT(pool.steal_count(), steals_before);
+  EXPECT_GT(steals.value(), 0u);
 }
 
 TEST(ThreadPool, DynamicSingleThreadRunsInline) {
-  ThreadPool pool(1);
+  obs::Registry scope;
+  ThreadPool pool(1, scope);
   std::vector<int> order;
   pool.parallel_for_dynamic(10,
                             [&](std::size_t i, int w) {
@@ -802,11 +808,12 @@ TEST(ThreadPool, DynamicSingleThreadRunsInline) {
                             });
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(pool.steal_count(), 0u);
+  EXPECT_EQ(scope.counter("engine.pool.steals").value(), 0u);
 }
 
 TEST(PortCache, SeedStoresAndOverwrites) {
-  PortCache cache;
+  obs::Registry scope;
+  PortCache cache(scope);
   netcalc::PortBounds a;
   a.backlog = 1.0;
   netcalc::PortBounds b;
@@ -823,7 +830,8 @@ TEST(PortCache, SeedStoresAndOverwrites) {
 }
 
 TEST(PortCache, EvictCountsOnlyExistingEntries) {
-  PortCache cache;
+  obs::Registry scope;
+  PortCache cache(scope);
   netcalc::PortBounds b;
   cache.store(7, 0, b);
   cache.store(7, 1, b);
@@ -915,8 +923,8 @@ TEST(EngineIncremental, SeedsCleanPortsAndSkipsDirtyCone) {
   }
   EXPECT_EQ(m.incremental.seeded_ports + m.incremental.dirty_ports, used);
   EXPECT_GT(m.incremental.seeded_ports, 0u);
-  // Seeding happens before the run proper, so it shows in the lifetime
-  // cache counters (the per-run delta only covers the run itself).
+  // Seeding is part of the run_incremental call, so it shows in the
+  // lifetime cache counters and in the call's own delta.
   EXPECT_GT(m.cache.seeded, 0u);
   EXPECT_TRUE(run.complete());
 }
@@ -1143,6 +1151,58 @@ TEST(EngineMetrics, EveryEntryPointReportsPropagationLevels) {
   (void)streaming.run_streaming(nullptr);
   EXPECT_EQ(streaming.metrics().levels, want.levels);
   EXPECT_EQ(streaming.metrics().max_level_width, want.max_level_width);
+}
+
+// RunMetrics::cache_run and prefix_run are deltas over the entry point's
+// own call, for every entry point: a fresh engine's netcalc_only reports
+// its misses, a netcalc_only after run() reports no prefix activity, and
+// run_incremental's seeds and evictions belong to its call.
+TEST(EngineMetrics, EveryEntryPointReportsItsOwnCacheDeltas) {
+  const TrafficConfig cfg = small_industrial();
+  AnalysisEngine healthy(cfg, {2});
+  const RunResult baseline = healthy.run_resilient();
+  const TrafficConfig mutated = with_mutated_vl(
+      cfg, 0, [](VirtualLink& vl) { vl.s_max = vl.s_max + 100; });
+
+  AnalysisEngine eng(mutated, {2});
+  const auto expect_own_delta = [&](const char* entry, const auto& call) {
+    const RunMetrics before = eng.metrics();
+    call();
+    const RunMetrics after = eng.metrics();
+    const CacheStats cache = after.cache - before.cache;
+    const trajectory::PrefixCacheStats prefix = after.prefix - before.prefix;
+    EXPECT_EQ(after.cache_run.hits, cache.hits) << entry;
+    EXPECT_EQ(after.cache_run.misses, cache.misses) << entry;
+    EXPECT_EQ(after.cache_run.seeded, cache.seeded) << entry;
+    EXPECT_EQ(after.cache_run.evicted, cache.evicted) << entry;
+    EXPECT_EQ(after.prefix_run.hits, prefix.hits) << entry;
+    EXPECT_EQ(after.prefix_run.misses, prefix.misses) << entry;
+    EXPECT_EQ(after.prefix_run.seeded, prefix.seeded) << entry;
+    return after;
+  };
+
+  RunMetrics m = expect_own_delta("netcalc_only on a fresh engine",
+                                  [&] { (void)eng.netcalc_only(); });
+  EXPECT_GT(m.cache_run.misses, 0u);
+
+  // The seeds and evictions of run_incremental belong to its call.
+  m = expect_own_delta("run_incremental", [&] {
+    (void)eng.run_incremental(cfg, baseline, {});
+  });
+  ASSERT_FALSE(m.incremental.full_fallback) << m.incremental.fallback_reason;
+  EXPECT_EQ(m.cache_run.seeded, m.incremental.seeded_ports);
+  EXPECT_GT(m.cache_run.evicted, 0u);
+  EXPECT_EQ(m.prefix_run.seeded, m.incremental.seeded_prefixes);
+
+  m = expect_own_delta("run", [&] { (void)eng.run(); });
+  EXPECT_GT(m.prefix_run.hits, 0u);
+  m = expect_own_delta("netcalc_only after run",
+                       [&] { (void)eng.netcalc_only(); });
+  EXPECT_EQ(m.prefix_run.hits + m.prefix_run.misses, 0u);
+  expect_own_delta("trajectory_only", [&] { (void)eng.trajectory_only(); });
+  expect_own_delta("run_resilient", [&] { (void)eng.run_resilient(); });
+  expect_own_delta("run_streaming",
+                   [&] { (void)eng.run_streaming(nullptr); });
 }
 
 // Differential matrix: every entry point that claims to run "the same

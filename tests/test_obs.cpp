@@ -263,6 +263,77 @@ TEST(Counters, ConcurrentAddsNeverLoseIncrements) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kAdds);
 }
 
+TEST(Counters, ScopeForwardsEveryUpdateToItsParent) {
+  Registry parent;
+  Registry child(&parent);
+  Registry grandchild(&child);
+  child.counter("x").add(3);
+  child.counter("peak").record_max(7);
+  child.counter("peak").record_max(4);
+  child.histogram("h").observe(5);
+  child.histogram("h").observe(1000);
+
+  EXPECT_EQ(parent.counter("x").value(), 3u);
+  EXPECT_EQ(parent.counter("peak").value(), 7u);
+  const Histogram& h = parent.histogram("h");
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.sum(), 1005u);
+  EXPECT_EQ(h.min(), 5u);
+  EXPECT_EQ(h.max(), 1000u);
+  EXPECT_EQ(h.bucket(3), 1u);
+  EXPECT_EQ(h.bucket(10), 1u);
+
+  // Forwarding chains through every level and never flows downwards.
+  grandchild.counter("x").add(2);
+  parent.counter("x").add(10);
+  EXPECT_EQ(grandchild.counter("x").value(), 2u);
+  EXPECT_EQ(child.counter("x").value(), 5u);
+  EXPECT_EQ(parent.counter("x").value(), 15u);
+
+  // A scope of the process root rolls up into the process totals.
+  Counter& root = registry().counter("test_obs.scope.rollup");
+  const std::uint64_t before = root.value();
+  Registry scope(&registry());
+  scope.counter("test_obs.scope.rollup").add(4);
+  EXPECT_EQ(root.value(), before + 4);
+}
+
+TEST(Counters, ParentResetLeavesScopeIntact) {
+  Registry parent;
+  Registry child(&parent);
+  child.counter("c").add(5);
+  child.histogram("h").observe(9);
+  parent.reset();
+  EXPECT_EQ(parent.counter("c").value(), 0u);
+  EXPECT_EQ(parent.histogram("h").count(), 0u);
+  EXPECT_EQ(child.counter("c").value(), 5u);
+  EXPECT_EQ(child.histogram("h").count(), 1u);
+  EXPECT_EQ(child.histogram("h").max(), 9u);
+
+  // Updates after the reset keep forwarding.
+  child.counter("c").add(1);
+  EXPECT_EQ(parent.counter("c").value(), 1u);
+  EXPECT_EQ(child.counter("c").value(), 6u);
+}
+
+TEST(Counters, ConcurrentScopeAddsLoseNoIncrement) {
+  Registry parent;
+  Registry child(&parent);
+  Counter& c = child.counter("concurrent");
+  constexpr int kThreads = 8;
+  constexpr int kAdds = 10000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (int i = 0; i < kAdds; ++i) c.add();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const auto want = static_cast<std::uint64_t>(kThreads) * kAdds;
+  EXPECT_EQ(c.value(), want);
+  EXPECT_EQ(parent.counter("concurrent").value(), want);
+}
+
 TEST(JsonWriter, EmitsValidNestedDocument) {
   std::ostringstream os;
   JsonWriter w(os);

@@ -188,6 +188,56 @@ TEST(ServeService, StatusReportsTheBaseline) {
   EXPECT_TRUE(cfg.find("complete")->as_bool());
 }
 
+// status reads only its own Service's scope: the latency of another
+// Service's requests in the same process must not leak into it.
+TEST(ServeService, StatusLatencyCountsOnlyThisServicesRequests) {
+  Service a;
+  Service b;
+  add_sample(a);
+  add_sample(b);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_NE(b.handle_line(R"({"id":1,"op":"bounds"})").find("\"ok\":true"),
+              std::string::npos);
+  }
+  ASSERT_NE(a.handle_line(R"({"id":1,"op":"bounds"})").find("\"ok\":true"),
+            std::string::npos);
+
+  const auto status = [](Service& service, double answered) {
+    const JsonValue v =
+        parse_json(service.handle_line(R"({"id":9,"op":"status"})"));
+    // The status request itself is counted in total, and its latency is
+    // recorded once it has been answered.
+    EXPECT_EQ(v.find("requests")->find("total")->as_number(), answered + 1);
+    EXPECT_EQ(v.find("latency_us")->find("count")->as_number(), answered);
+  };
+  status(a, 1.0);
+  status(b, 5.0);
+}
+
+// Every answered line is counted in total, rejected ones included, so
+// errors and overloaded never exceed it.
+TEST(ServeService, StatusTotalCoversRejectedLines) {
+  Service service;
+  add_sample(service);
+  for (const char* bad : {"not json", R"({"id":2})", R"({"id":3,"op":"x"})"}) {
+    const JsonValue v = parse_json(service.handle_line(bad));
+    ASSERT_FALSE(v.find("ok")->as_bool());
+  }
+  service.note_error();
+  service.note_overloaded();
+  service.note_overloaded();
+
+  const JsonValue v =
+      parse_json(service.handle_line(R"({"id":4,"op":"status"})"));
+  const JsonValue& requests = *v.find("requests");
+  const double total = requests.find("total")->as_number();
+  EXPECT_EQ(total, 7.0);
+  EXPECT_EQ(requests.find("errors")->as_number(), 4.0);
+  EXPECT_EQ(requests.find("overloaded")->as_number(), 2.0);
+  EXPECT_LE(requests.find("errors")->as_number(), total);
+  EXPECT_LE(requests.find("overloaded")->as_number(), total);
+}
+
 TEST(ServeService, BoundsMatchTheEngineBitForBit) {
   Service service;
   add_sample(service);

@@ -473,6 +473,7 @@ int run(const CliOptions& opts) {
     }
     const engine::StreamSummary s = eng.run_streaming(
         sink, opts.nc, opts.tj, engine::RunControl{cancel_ptr});
+    const engine::RunMetrics m = eng.metrics();
     if (!opts.csv) {
       std::cout << "streamed " << s.paths << " paths: " << s.ok << " ok, "
                 << s.failed << " failed, " << s.skipped << " skipped\n";
@@ -481,12 +482,12 @@ int run(const CliOptions& opts) {
                   << " us (vl " << config.vl(s.worst_vl).name << "), mean "
                   << report::fmt(s.mean_combined()) << " us\n";
       }
-      std::cout << "  " << report::fmt(s.wall_us / 1000.0) << " ms, "
-                << report::fmt(s.paths_per_second, 0) << " paths/s\n";
+      std::cout << "  " << report::fmt(m.total_wall_us / 1000.0) << " ms, "
+                << report::fmt(m.paths_per_second, 0) << " paths/s\n";
     }
     if (opts.metrics) {
       std::cout << "\n";
-      eng.metrics().print(std::cout);
+      m.print(std::cout);
     }
     if (s.failed + s.skipped > 0) {
       std::cerr << "partial results: some paths have no bounds\n";
