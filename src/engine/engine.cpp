@@ -56,19 +56,9 @@ static_assert(sizeof(trajectory::Options) == 8,
               "trajectory::Options changed: update trajectory_options_key to "
               "mix in every field, then bump this expected size");
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v,
-                      unsigned bytes) noexcept {
-  for (unsigned i = 0; i < bytes; ++i) {
-    h ^= (v >> (8 * i)) & 0xffull;
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-  return h;
-}
-
 /// FNV-1a digest of the trajectory option fields prefix bounds depend on.
 std::uint64_t trajectory_options_key(const trajectory::Options& o) noexcept {
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  h = fnv_mix(h, o.serialization ? 1u : 0u, 1);
+  std::uint64_t h = fnv_mix(kFnvOffsetBasis, o.serialization ? 1u : 0u, 1);
   h = fnv_mix(h, o.loose_boundary_packet ? 1u : 0u, 1);
   h = fnv_mix(h,
               static_cast<std::uint64_t>(
@@ -82,7 +72,7 @@ std::uint64_t trajectory_options_key(const trajectory::Options& o) noexcept {
 /// digest this keys the engine's shared prefix caches.
 std::uint64_t caps_signature(
     const std::optional<std::vector<Microseconds>>& caps) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = kFnvOffsetBasis;
   if (!caps.has_value()) return fnv_mix(h, 0x9e3779b97f4a7c15ull, 8);
   h = fnv_mix(h, caps->size(), 8);
   for (Microseconds c : *caps) {
@@ -159,7 +149,6 @@ AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
   metrics_.levels = levels->size();
   obs::Histogram& level_width = scope_->histogram("engine.level.width");
   const netcalc::PortFlowIndex& index = flow_index();
-  std::vector<netcalc::PortBounds> bounds(n_links);
   netcalc::DelayTable delays(cfg_);
   bool abandoned = false;
   for (const std::vector<LinkId>& level : *levels) {
@@ -203,13 +192,14 @@ AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
     const auto failures = pool_.parallel_for_dynamic_contained(
         compute.size(), [&](std::size_t i, int) {
           const LinkId port = compute[i];
+          netcalc::PortReport& report = pass.result.ports[port];
           if (auto hit = cache_.lookup(pass.options_key, port);
               hit.has_value()) {
-            bounds[port] = std::move(*hit);
+            report = std::move(*hit);
           } else {
-            bounds[port] = netcalc::compute_port_bounds(cfg_, port, options,
-                                                        delays, index);
-            cache_.store(pass.options_key, port, bounds[port]);
+            report = netcalc::compute_port_bounds(cfg_, port, options, delays,
+                                                  index);
+            cache_.store(pass.options_key, port, report);
           }
         });
     for (const ThreadPool::TaskFailure& f : failures) {
@@ -218,9 +208,7 @@ AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
     }
     for (LinkId port : level) {
       if (pass.ports[port].state != PathState::kOk) continue;
-      delays.assign(port, bounds[port].level_delays);
-      pass.result.ports[port] =
-          netcalc::make_report(bounds[port], cfg_.utilization(port));
+      delays.assign(port, pass.result.ports[port].level_delays);
     }
   }
   return pass;
@@ -604,9 +592,11 @@ RunResult AnalysisEngine::run_incremental(
   for (LinkId l : plan.clean_ports) {
     const netcalc::PortReport& r = baseline.netcalc_result.ports[l];
     if (!r.used) continue;
-    cache_.seed(okey, l,
-                netcalc::PortBounds{r.level_delays, r.backlog,
-                                    r.queue_backlog});
+    // The bounds carry over; the utilization is summed afresh in this
+    // configuration's VL order, as a computed report would be.
+    netcalc::PortReport seeded = r;
+    seeded.utilization = cfg_.utilization(l);
+    cache_.seed(okey, l, seeded);
     ++inc.seeded_ports;
   }
   cache_.evict(okey, plan.dirty_ports);

@@ -9,7 +9,7 @@ PortCache::PortCache(obs::Registry& scope)
       evicted_(scope.counter("engine.cache.evictions")),
       max_entries_(scope.counter("engine.cache.entries.max")) {}
 
-std::optional<netcalc::PortBounds> PortCache::lookup(
+std::optional<netcalc::PortReport> PortCache::lookup(
     std::uint64_t options_key, LinkId port) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(Key{options_key, port});
@@ -22,16 +22,16 @@ std::optional<netcalc::PortBounds> PortCache::lookup(
 }
 
 void PortCache::store(std::uint64_t options_key, LinkId port,
-                      const netcalc::PortBounds& bounds) {
+                      const netcalc::PortReport& report) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.emplace(Key{options_key, port}, bounds);
+  entries_.emplace(Key{options_key, port}, report);
   max_entries_.record_max(entries_.size());
 }
 
 void PortCache::seed(std::uint64_t options_key, LinkId port,
-                     const netcalc::PortBounds& bounds) {
+                     const netcalc::PortReport& report) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[Key{options_key, port}] = bounds;
+  entries_[Key{options_key, port}] = report;
   seeded_.add();
 }
 

@@ -1,4 +1,4 @@
-// Thread-safe per-output-port memoization cache of WCNC port bounds.
+// Thread-safe per-output-port memoization cache of WCNC port reports.
 //
 // The WCNC analysis is deterministic: the converged bounds of a port are a
 // pure function of (configuration, analyzer options). A cache instance is
@@ -46,6 +46,19 @@ inline CacheStats operator-(const CacheStats& now, const CacheStats& then) {
                     now.seeded - then.seeded, now.evicted - then.evicted};
 }
 
+/// FNV-1a offset basis: the starting value of every option and caps digest.
+inline constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
+/// Mixes the low `bytes` bytes of `v` into the FNV-1a digest `h`.
+[[nodiscard]] constexpr std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v,
+                                              unsigned bytes) noexcept {
+  for (unsigned i = 0; i < bytes; ++i) {
+    h ^= (v >> (8 * i)) & 0xffull;
+    h *= 1099511628211ull;  // FNV-1a prime
+  }
+  return h;
+}
+
 // Tripwire: options_key() below must fingerprint EVERY field of
 // netcalc::Options. If this assert fires, a field was added (or resized) --
 // extend the digest with the new field and update the expected size, or the
@@ -65,35 +78,29 @@ class PortCache {
   /// a new one is appended (see the static_assert tripwire above).
   [[nodiscard]] static std::uint64_t options_key(
       const netcalc::Options& options) noexcept {
-    std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-    const auto mix = [&h](std::uint64_t v, unsigned bytes) noexcept {
-      for (unsigned i = 0; i < bytes; ++i) {
-        h ^= (v >> (8 * i)) & 0xffull;
-        h *= 1099511628211ull;  // FNV-1a prime
-      }
-    };
-    mix(options.grouping ? 1u : 0u, 1);
-    mix(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(options.max_iterations)),
-        sizeof(options.max_iterations));
-    return h;
+    const std::uint64_t h =
+        fnv_mix(kFnvOffsetBasis, options.grouping ? 1u : 0u, 1);
+    return fnv_mix(h,
+                   static_cast<std::uint64_t>(
+                       static_cast<std::uint32_t>(options.max_iterations)),
+                   sizeof(options.max_iterations));
   }
 
-  /// Returns the cached bounds of (options, port) and counts a hit, or
+  /// Returns the cached report of (options, port) and counts a hit, or
   /// nullopt and counts a miss. Thread-safe.
-  [[nodiscard]] std::optional<netcalc::PortBounds> lookup(
+  [[nodiscard]] std::optional<netcalc::PortReport> lookup(
       std::uint64_t options_key, LinkId port) const;
 
-  /// Stores the bounds of (options, port); the first writer wins (all
+  /// Stores the report of (options, port); the first writer wins (all
   /// writers compute identical values). Thread-safe.
   void store(std::uint64_t options_key, LinkId port,
-             const netcalc::PortBounds& bounds);
+             const netcalc::PortReport& report);
 
   /// Inserts or overwrites (options, port) with a transplanted baseline
   /// value and counts it as seeded -- incremental re-analysis uses this to
-  /// pre-load the bounds of ports outside the dirty cone. Thread-safe.
+  /// pre-load the reports of ports outside the dirty cone. Thread-safe.
   void seed(std::uint64_t options_key, LinkId port,
-            const netcalc::PortBounds& bounds);
+            const netcalc::PortReport& report);
 
   /// Drops the listed ports under `options_key` (existing entries only are
   /// counted as evicted). Thread-safe.
@@ -108,7 +115,7 @@ class PortCache {
   using Key = std::pair<std::uint64_t, LinkId>;
 
   mutable std::mutex mu_;
-  std::map<Key, netcalc::PortBounds> entries_;
+  std::map<Key, netcalc::PortReport> entries_;
   obs::Counter& hits_;
   obs::Counter& misses_;
   obs::Counter& seeded_;

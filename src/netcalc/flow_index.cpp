@@ -53,10 +53,9 @@ PortFlowIndex build_port_flow_index(const TrafficConfig& config) {
     PortFlowIndex::Port& p = index.ports[port];
     p.class_begin = static_cast<std::uint32_t>(index.classes.size());
 
-    // Mirror of the map-based partition in level_aggregates_at(): classes
-    // ascending; within a class the pair<bool, LinkId> key order puts every
-    // fresh single (false, running counter = encounter order) before the
-    // shared groups (true, input link ascending).
+    // Classes ascending; within a class the pair<bool, LinkId> key order
+    // puts every fresh single (false, running counter = encounter order)
+    // before the shared groups (true, input link ascending).
     std::map<std::uint8_t,
              std::map<std::pair<bool, LinkId>, std::vector<VlId>>>
         levels;
@@ -108,7 +107,6 @@ PortFlowIndex build_port_flow_index(const TrafficConfig& config) {
             index.chains.push_back(l);
           }
           m.chain_end = static_cast<std::uint32_t>(index.chains.size());
-          g.largest_frame = std::max(g.largest_frame, m.burst);
           index.members.push_back(m);
         }
         g.member_end = static_cast<std::uint32_t>(index.members.size());

@@ -1,22 +1,18 @@
-// Flat (structure-of-arrays) companions to the WCNC per-port computation.
+// The flat (structure-of-arrays) inputs of the one WCNC per-port
+// computation (netcalc_analyzer.cpp). Both are built once per
+// configuration:
 //
-// The hot loop of the analyzer recomputes, for every port, the partition of
-// its crossing VLs into priority classes and shared-input-link groups, and
-// walks one std::map<class, delay> per upstream port while accumulating
-// jitter. Both are pure functions of the configuration, so they are built
-// once here:
+//   * DelayTable -- the per-port per-class delay state as one contiguous
+//     array (n_links x distinct-class-count cells, NaN = absent).
+//   * PortFlowIndex -- every port's crossing VLs partitioned into
+//     port -> classes -> groups -> members -> upstream chain.
 //
-//   * DelayTable  -- the per-port per-class delay state as one contiguous
-//     array (n_links x distinct-class-count cells, NaN = absent), replacing
-//     std::vector<std::map<std::uint8_t, Microseconds>> on the hot path.
-//     The map-based APIs remain in netcalc_analyzer.hpp for compatibility.
-//   * PortFlowIndex -- the port -> classes -> groups -> members -> upstream
-//     chain flattening of the crossing-VL partition, in exactly the
-//     iteration order of the map-based aggregation (classes ascending;
-//     fresh per-VL groups in encounter order before shared groups by
-//     ascending input link; members in encounter order; chains from the
-//     port upward), so the flat compute_port_bounds overload reproduces
-//     the original floating-point operation order bit for bit.
+// The index order is the definition of the WCNC aggregation order:
+// classes ascending; within a class, the fresh per-VL groups (VLs born at
+// the port) in encounter order, then the shared-input-link groups by
+// ascending input link; members in encounter order; each chain from the
+// port upward. The aggregation sums curves in exactly this order, so its
+// floating-point result is fixed by the index.
 #pragma once
 
 #include <array>
@@ -65,8 +61,8 @@ class DelayTable {
   std::vector<Microseconds> cells_;       // link-major, NaN = absent
 };
 
-/// Once-built flattening of every port's crossing-VL partition (see the
-/// file comment for the exact ordering contract).
+/// Once-built flattening of every port's crossing-VL partition (the file
+/// comment gives the order, which is the aggregation order).
 struct PortFlowIndex {
   struct Member {
     VlId vl = kInvalidVl;
@@ -80,7 +76,6 @@ struct PortFlowIndex {
     LinkId pred = kInvalidLink;       // shared input link; invalid = fresh
     std::uint32_t member_begin = 0;   // [begin, end) into `members`
     std::uint32_t member_end = 0;
-    Bits largest_frame = 0.0;         // max member burst (grouping cap)
   };
   struct ClassEntry {
     std::uint8_t cls = 0;

@@ -1,7 +1,6 @@
 #include "netcalc/netcalc_analyzer.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
@@ -15,75 +14,92 @@ namespace {
 
 using minplus::Curve;
 
-/// Per-port, per-priority-class delay bounds (the propagation state).
-using LevelDelays = std::map<std::uint8_t, Microseconds>;
-
-/// Sum of upstream port delays of `vl` before it reaches `port` (the delay
-/// already accumulated when its frames arrive there), using the VL's own
-/// priority class at every crossed port.
-Microseconds accumulated_delay(const TrafficConfig& config, VlId vl,
-                               LinkId port,
-                               const std::vector<LevelDelays>& port_delays) {
-  const VlRoute& route = config.route(vl);
-  const std::uint8_t level = config.vl(vl).priority;
-  Microseconds acc = 0.0;
-  for (LinkId l = route.predecessor(port); l != kInvalidLink;
-       l = route.predecessor(l)) {
-    auto it = port_delays[l].find(level);
-    if (it != port_delays[l].end()) acc += it->second;
-  }
-  return acc;
+/// A flow's source envelope delayed by up to `jitter` (release jitter plus
+/// the upstream port delays): the burst grows by rho times the delay.
+Curve delayed_envelope(Bits burst, BitsPerMicrosecond rate,
+                       Microseconds jitter) {
+  return Curve::affine(burst + rate * jitter, rate);
 }
 
-/// Grouped arrival aggregates of the VLs crossing `port`, one curve per
-/// priority class (optionally excluding one VL).
-std::map<std::uint8_t, Curve> level_aggregates_at(
-    const TrafficConfig& config, LinkId port, const Options& options,
-    const std::vector<LevelDelays>& port_delays, VlId exclude) {
+/// The grouped arrival aggregate of one priority class at a port.
+struct ClassAggregate {
+  const PortFlowIndex::ClassEntry* entry = nullptr;
+  Curve curve;
+};
+
+/// The one grouped aggregation of WCNC: the crossing VLs of `port` (minus
+/// `exclude`) summed per priority class, ascending. Each member envelope is
+/// inflated by its upstream delays in its own class; a shared-input-link
+/// group of two or more members is capped by the link's leaky bucket
+/// (largest member frame, link rate). The index order is the operation
+/// order, so every caller gets the same bits.
+std::vector<ClassAggregate> class_aggregates(const TrafficConfig& config,
+                                             LinkId port,
+                                             const Options& options,
+                                             const DelayTable& delays,
+                                             const PortFlowIndex& index,
+                                             VlId exclude) {
   const Network& net = config.network();
-
-  // Partition the crossing VLs by priority class, then by the link their
-  // frames arrive on. VLs born at this port (source ES output) have no
-  // predecessor link and are not serialized with anything: each is its own
-  // group.
-  std::map<std::uint8_t, std::map<std::pair<bool, LinkId>, std::vector<VlId>>>
-      levels;
-  LinkId fresh_key = 0;
-  for (VlId v : config.vls_on_link(port)) {
-    if (v == exclude) continue;
-    auto& groups = levels[config.vl(v).priority];
-    const LinkId pred = config.route(v).predecessor(port);
-    if (pred == kInvalidLink) {
-      groups[{false, fresh_key++}].push_back(v);
-    } else {
-      groups[{true, pred}].push_back(v);
-    }
-  }
-
-  std::map<std::uint8_t, Curve> out;
-  for (const auto& [level, groups] : levels) {
+  const PortFlowIndex::Port& p = index.ports[port];
+  std::vector<ClassAggregate> out;
+  out.reserve(p.class_end - p.class_begin);
+  for (std::uint32_t ci = p.class_begin; ci != p.class_end; ++ci) {
+    const PortFlowIndex::ClassEntry& ce = index.classes[ci];
     Curve aggregate;  // zero curve
-    for (const auto& [key, members] : groups) {
+    bool any = false;
+    for (std::uint32_t gi = ce.group_begin; gi != ce.group_end; ++gi) {
+      const PortFlowIndex::Group& g = index.groups[gi];
       Curve group_curve;
       Bits largest_frame = 0.0;
-      for (VlId v : members) {
+      std::uint32_t members = 0;
+      for (std::uint32_t mi = g.member_begin; mi != g.member_end; ++mi) {
+        const PortFlowIndex::Member& mb = index.members[mi];
+        if (mb.vl == exclude) continue;
+        Microseconds acc = 0.0;
+        for (std::uint32_t k = mb.chain_begin; k != mb.chain_end; ++k) {
+          const LinkId up = index.chains[k];
+          if (delays.has(up, ce.cls)) acc += delays.get(up, ce.cls);
+        }
         group_curve = minplus::sum(
-            group_curve, arrival_curve_at(config, v, port, port_delays));
-        largest_frame = std::max(largest_frame, config.vl(v).burst_bits());
+            group_curve,
+            delayed_envelope(mb.burst, mb.rate, mb.release_jitter + acc));
+        largest_frame = std::max(largest_frame, mb.burst);
+        ++members;
       }
-      if (options.grouping && key.first && members.size() >= 2) {
+      // A group (or class) the exclusion empties contributes nothing, not
+      // even a zero curve: as if its only VL never crossed the port.
+      if (members == 0) continue;
+      if (options.grouping && g.pred != kInvalidLink && members >= 2) {
         // Frames of the group are serialized by the shared input link: over
         // any window of length t at most (rate * t + largest frame) bits
         // can arrive. A lone flow on a link is not grouped with anything
         // (the published grouping technique exploits serialization between
         // flows).
-        const BitsPerMicrosecond upstream_rate = net.link(key.second).rate;
         group_curve = minplus::minimum(
-            group_curve, Curve::affine(largest_frame, upstream_rate));
+            group_curve, Curve::affine(largest_frame, net.link(g.pred).rate));
       }
       aggregate = minplus::sum(aggregate, group_curve);
+      any = true;
     }
-    out.emplace(level, std::move(aggregate));
+    if (any) out.push_back(ClassAggregate{&ce, std::move(aggregate)});
+  }
+  return out;
+}
+
+/// Sums the per-class port delays along every path, aligned with
+/// TrafficConfig::all_paths().
+std::vector<Microseconds> path_bounds_from(const TrafficConfig& config,
+                                           const DelayTable& delays) {
+  std::vector<Microseconds> out;
+  out.reserve(config.all_paths().size());
+  for (const VlPath& p : config.all_paths()) {
+    const std::uint8_t level = config.vl(p.vl).priority;
+    Microseconds total = 0.0;
+    for (LinkId l : p.links) {
+      AFDX_ASSERT(delays.has(l, level), "missing level delay");
+      total += delays.get(l, level);
+    }
+    out.push_back(total);
   }
   return out;
 }
@@ -93,83 +109,14 @@ std::map<std::uint8_t, Curve> level_aggregates_at(
 // The per-port computation: aggregate the crossing VLs per priority class
 // (with grouping when enabled), derive each class's residual service, and
 // return the class delay bounds plus the port backlog bounds.
-PortBounds compute_port_bounds(const TrafficConfig& config, LinkId port,
-                               const Options& options,
-                               const std::vector<LevelDelays>& port_delays) {
-  AFDX_TRACE_SPAN("netcalc.port", "netcalc");
-  // Every intermediate curve of this port's computation (aggregates,
-  // convolutions, residual services) bump-allocates its breakpoints here
-  // and is reclaimed by one rewind on return; the produced PortBounds
-  // carries only scalars, so nothing arena-backed escapes the scope.
-  static thread_local common::BumpArena curve_arena;
-  const common::ArenaScope curve_scope(curve_arena);
-  static obs::Counter& ports_computed =
-      obs::registry().counter("netcalc.ports_computed");
-  ports_computed.add();
-  const Network& net = config.network();
-  const Link& link = net.link(port);
-
-  Bits port_max_frame = 0.0;
-  for (VlId v : config.vls_on_link(port)) {
-    port_max_frame = std::max(port_max_frame, config.vl(v).burst_bits());
-  }
-
-  const std::map<std::uint8_t, Curve> level_aggregates =
-      level_aggregates_at(config, port, options, port_delays, kInvalidVl);
-  Curve total_aggregate;
-  for (const auto& [level, aggregate] : level_aggregates) {
-    total_aggregate = minplus::sum(total_aggregate, aggregate);
-  }
-
-  const Curve beta = Curve::rate_latency(link.rate, link.latency);
-  const Curve pure_rate = Curve::rate_latency(link.rate, 0.0);
-  try {
-    PortBounds bounds;
-    // Buffer sizing (the memory is shared by all classes of the port) with
-    // store-and-forward release: a frame occupies the FIFO until fully
-    // transmitted, so the fluid backlog is raised by one maximum frame.
-    bounds.backlog =
-        minplus::vertical_deviation(total_aggregate, beta) + port_max_frame;
-    bounds.queue_backlog =
-        minplus::vertical_deviation(total_aggregate, pure_rate);
-
-    // Per-class delays: class k is served after all higher classes and can
-    // be blocked by one lower-class frame already in transmission.
-    Curve higher;  // zero curve
-    for (auto it = level_aggregates.begin(); it != level_aggregates.end();
-         ++it) {
-      Bits blocking = 0.0;
-      for (auto low = std::next(it); low != level_aggregates.end(); ++low) {
-        for (VlId v : config.vls_on_link(port)) {
-          if (config.vl(v).priority == low->first) {
-            blocking = std::max(blocking, config.vl(v).burst_bits());
-          }
-        }
-      }
-      const bool only_class = level_aggregates.size() == 1;
-      const Curve service =
-          only_class ? beta : minplus::residual_service(beta, higher, blocking);
-      bounds.level_delays[it->first] =
-          minplus::horizontal_deviation(it->second, service);
-      higher = minplus::sum(higher, it->second);
-    }
-    return bounds;
-  } catch (const Error&) {
-    throw Error("WCNC: unstable output port " +
-                net.node(link.source).name + " -> " +
-                net.node(link.dest).name + " (utilization " +
-                std::to_string(config.utilization(port)) + ")");
-  }
-}
-
-PortBounds compute_port_bounds(const TrafficConfig& config, LinkId port,
+PortReport compute_port_bounds(const TrafficConfig& config, LinkId port,
                                const Options& options,
                                const DelayTable& delays,
                                const PortFlowIndex& index) {
   AFDX_TRACE_SPAN("netcalc.port", "netcalc");
   // Every intermediate curve of this port's computation (aggregates,
   // convolutions, residual services) bump-allocates its breakpoints here
-  // and is reclaimed by one rewind on return; the produced PortBounds
+  // and is reclaimed by one rewind on return; the produced PortReport
   // carries only scalars, so nothing arena-backed escapes the scope.
   static thread_local common::BumpArena curve_arena;
   const common::ArenaScope curve_scope(curve_arena);
@@ -178,70 +125,43 @@ PortBounds compute_port_bounds(const TrafficConfig& config, LinkId port,
   ports_computed.add();
   const Network& net = config.network();
   const Link& link = net.link(port);
-  const PortFlowIndex::Port& p = index.ports[port];
 
-  // Per-class grouped aggregates, ascending class order -- the flat mirror
-  // of level_aggregates_at() with the arrival curves inlined (the index
-  // stores each member's leaky-bucket parameters and upstream chain).
-  std::vector<std::pair<std::uint8_t, Curve>> level_aggregates;
-  level_aggregates.reserve(p.class_end - p.class_begin);
-  for (std::uint32_t ci = p.class_begin; ci != p.class_end; ++ci) {
-    const PortFlowIndex::ClassEntry& ce = index.classes[ci];
-    Curve aggregate;  // zero curve
-    for (std::uint32_t gi = ce.group_begin; gi != ce.group_end; ++gi) {
-      const PortFlowIndex::Group& g = index.groups[gi];
-      Curve group_curve;
-      for (std::uint32_t mi = g.member_begin; mi != g.member_end; ++mi) {
-        const PortFlowIndex::Member& mb = index.members[mi];
-        Microseconds acc = 0.0;
-        for (std::uint32_t k = mb.chain_begin; k != mb.chain_end; ++k) {
-          const LinkId up = index.chains[k];
-          if (delays.has(up, ce.cls)) acc += delays.get(up, ce.cls);
-        }
-        const Microseconds total_jitter = mb.release_jitter + acc;
-        group_curve = minplus::sum(
-            group_curve,
-            Curve::affine(mb.burst + mb.rate * total_jitter, mb.rate));
-      }
-      if (options.grouping && g.pred != kInvalidLink &&
-          g.member_end - g.member_begin >= 2) {
-        group_curve = minplus::minimum(
-            group_curve,
-            Curve::affine(g.largest_frame, net.link(g.pred).rate));
-      }
-      aggregate = minplus::sum(aggregate, group_curve);
-    }
-    level_aggregates.emplace_back(ce.cls, std::move(aggregate));
-  }
-
+  const std::vector<ClassAggregate> classes =
+      class_aggregates(config, port, options, delays, index, kInvalidVl);
   Curve total_aggregate;
-  for (const auto& [level, aggregate] : level_aggregates) {
-    total_aggregate = minplus::sum(total_aggregate, aggregate);
+  for (const ClassAggregate& c : classes) {
+    total_aggregate = minplus::sum(total_aggregate, c.curve);
   }
 
   const Curve beta = Curve::rate_latency(link.rate, link.latency);
   const Curve pure_rate = Curve::rate_latency(link.rate, 0.0);
   try {
-    PortBounds bounds;
-    bounds.backlog =
-        minplus::vertical_deviation(total_aggregate, beta) + p.max_frame;
-    bounds.queue_backlog =
+    PortReport report;
+    report.used = true;
+    report.utilization = config.utilization(port);
+    // Buffer sizing (the memory is shared by all classes of the port) with
+    // store-and-forward release: a frame occupies the FIFO until fully
+    // transmitted, so the fluid backlog is raised by one maximum frame.
+    report.backlog = minplus::vertical_deviation(total_aggregate, beta) +
+                     index.ports[port].max_frame;
+    report.queue_backlog =
         minplus::vertical_deviation(total_aggregate, pure_rate);
 
+    // Per-class delays: class k is served after all higher classes and can
+    // be blocked by one lower-class frame already in transmission.
     Curve higher;  // zero curve
-    const bool only_class = level_aggregates.size() == 1;
-    for (std::size_t idx = 0; idx < level_aggregates.size(); ++idx) {
-      const PortFlowIndex::ClassEntry& ce =
-          index.classes[p.class_begin + idx];
+    const bool only_class = classes.size() == 1;
+    for (const ClassAggregate& c : classes) {
       const Curve service =
-          only_class
-              ? beta
-              : minplus::residual_service(beta, higher, ce.lower_blocking);
-      bounds.level_delays[level_aggregates[idx].first] =
-          minplus::horizontal_deviation(level_aggregates[idx].second, service);
-      higher = minplus::sum(higher, level_aggregates[idx].second);
+          only_class ? beta
+                     : minplus::residual_service(beta, higher,
+                                                 c.entry->lower_blocking);
+      const Microseconds d = minplus::horizontal_deviation(c.curve, service);
+      report.level_delays[c.entry->cls] = d;
+      report.delay = std::max(report.delay, d);
+      higher = minplus::sum(higher, c.curve);
     }
-    return bounds;
+    return report;
   } catch (const Error&) {
     throw Error("WCNC: unstable output port " +
                 net.node(link.source).name + " -> " +
@@ -293,97 +213,38 @@ std::optional<std::vector<std::vector<LinkId>>> propagation_levels(
   return levels;
 }
 
-PortReport make_report(const PortBounds& bounds, double utilization) {
-  PortReport report;
-  report.used = true;
-  report.level_delays = bounds.level_delays;
-  report.delay = 0.0;
-  for (const auto& [level, d] : bounds.level_delays) {
-    report.delay = std::max(report.delay, d);
-  }
-  report.backlog = bounds.backlog;
-  report.queue_backlog = bounds.queue_backlog;
-  report.utilization = utilization;
-  return report;
-}
-
-std::vector<Microseconds> path_bounds_from(
-    const TrafficConfig& config, const std::vector<LevelDelays>& port_delays) {
-  std::vector<Microseconds> out;
-  out.reserve(config.all_paths().size());
-  for (const VlPath& p : config.all_paths()) {
-    const std::uint8_t level = config.vl(p.vl).priority;
-    Microseconds total = 0.0;
-    for (LinkId l : p.links) {
-      auto it = port_delays[l].find(level);
-      AFDX_ASSERT(it != port_delays[l].end(), "missing level delay");
-      total += it->second;
-    }
-    out.push_back(total);
-  }
-  return out;
-}
-
-std::vector<Microseconds> path_bounds_from(const TrafficConfig& config,
-                                           const DelayTable& delays) {
-  std::vector<Microseconds> out;
-  out.reserve(config.all_paths().size());
-  for (const VlPath& p : config.all_paths()) {
-    const std::uint8_t level = config.vl(p.vl).priority;
-    Microseconds total = 0.0;
-    for (LinkId l : p.links) {
-      AFDX_ASSERT(delays.has(l, level), "missing level delay");
-      total += delays.get(l, level);
-    }
-    out.push_back(total);
-  }
-  return out;
-}
-
-minplus::Curve arrival_curve_at(
-    const TrafficConfig& config, VlId vl, LinkId port,
-    const std::vector<std::map<std::uint8_t, Microseconds>>& port_delays) {
+minplus::Curve arrival_curve_at(const TrafficConfig& config, VlId vl,
+                                LinkId port, const DelayTable& delays) {
   const VirtualLink& v = config.vl(vl);
-  AFDX_REQUIRE(config.route(vl).crosses(port),
+  const VlRoute& route = config.route(vl);
+  AFDX_REQUIRE(route.crosses(port),
                "arrival_curve_at: VL does not cross the port");
-  const Microseconds acc = accumulated_delay(config, vl, port, port_delays);
-  // The source envelope delayed by up to (release jitter + upstream port
-  // delays): the burst grows by rho times the accumulated worst-case delay.
-  const Microseconds total_jitter = v.max_release_jitter + acc;
-  return minplus::Curve::affine(
-      v.burst_bits() + v.rate_bits_per_us() * total_jitter,
-      v.rate_bits_per_us());
+  Microseconds acc = 0.0;
+  for (LinkId l = route.predecessor(port); l != kInvalidLink;
+       l = route.predecessor(l)) {
+    if (delays.has(l, v.priority)) acc += delays.get(l, v.priority);
+  }
+  return delayed_envelope(v.burst_bits(), v.rate_bits_per_us(),
+                          v.max_release_jitter + acc);
 }
 
-minplus::Curve port_aggregate(
-    const TrafficConfig& config, LinkId port, const Options& options,
-    const std::vector<std::map<std::uint8_t, Microseconds>>& port_delays,
-    VlId exclude) {
+minplus::Curve port_aggregate(const TrafficConfig& config, LinkId port,
+                              const Options& options, const DelayTable& delays,
+                              const PortFlowIndex& index, VlId exclude) {
   Curve total;
-  for (const auto& [level, aggregate] :
-       level_aggregates_at(config, port, options, port_delays, exclude)) {
-    total = minplus::sum(total, aggregate);
+  for (const ClassAggregate& c :
+       class_aggregates(config, port, options, delays, index, exclude)) {
+    total = minplus::sum(total, c.curve);
   }
   return total;
 }
 
-std::vector<std::map<std::uint8_t, Microseconds>> delay_table(
-    const Result& result) {
-  std::vector<std::map<std::uint8_t, Microseconds>> out(result.ports.size());
-  for (std::size_t l = 0; l < result.ports.size(); ++l) {
-    if (result.ports[l].used) out[l] = result.ports[l].level_delays;
+DelayTable delay_table(const TrafficConfig& config, const Result& result) {
+  DelayTable table(config);
+  for (LinkId l = 0; l < result.ports.size(); ++l) {
+    if (result.ports[l].used) table.assign(l, result.ports[l].level_delays);
   }
-  return out;
-}
-
-Microseconds Result::bound_for(const TrafficConfig& config, PathRef ref) const {
-  const auto& paths = config.all_paths();
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (paths[i].vl == ref.vl && paths[i].dest_index == ref.dest_index) {
-      return path_bounds[i];
-    }
-  }
-  throw Error("WCNC Result::bound_for: unknown path");
+  return table;
 }
 
 Result analyze(const TrafficConfig& config, const Options& options) {
@@ -392,27 +253,24 @@ Result analyze(const TrafficConfig& config, const Options& options) {
 
   Result result;
   result.ports.assign(n_links, PortReport{});
+  DelayTable delays(config);
+  const PortFlowIndex index = build_port_flow_index(config);
 
   const auto levels = propagation_levels(config);
   if (levels.has_value()) {
-    // Feed-forward: one pass in dependency order is exact. The flat delay
-    // table and the once-built flow index carry the hot per-port loop.
-    DelayTable flat(config);
-    const PortFlowIndex index = build_port_flow_index(config);
+    // Feed-forward: one pass in dependency order is exact.
     for (const std::vector<LinkId>& level : *levels) {
       for (LinkId port : level) {
-        const PortBounds b =
-            compute_port_bounds(config, port, options, flat, index);
-        flat.assign(port, b.level_delays);
-        result.ports[port] = make_report(b, config.utilization(port));
+        result.ports[port] =
+            compute_port_bounds(config, port, options, delays, index);
+        delays.assign(port, result.ports[port].level_delays);
       }
     }
     result.iterations = 1;
-    result.path_bounds = path_bounds_from(config, flat);
   } else {
-    std::vector<LevelDelays> delays(n_links);
-    // Cyclic dependencies: monotone fixed point from below. Delays only
-    // grow between rounds; stop when stationary.
+    // Cyclic dependencies: monotone fixed point from below, Gauss-Seidel
+    // (each port sees the delays of the ports computed before it in the
+    // same round). Delays only grow between rounds; stop when stationary.
     std::vector<LinkId> used_ports;
     for (LinkId l = 0; l < n_links; ++l) {
       if (!config.vls_on_link(l).empty()) used_ports.push_back(l);
@@ -423,16 +281,17 @@ Result analyze(const TrafficConfig& config, const Options& options) {
       obs::registry().counter("netcalc.fixed_point_rounds").add();
       double max_change = 0.0;
       for (LinkId port : used_ports) {
-        PortBounds b = compute_port_bounds(config, port, options, delays);
-        for (auto& [level, d] : b.level_delays) {
-          const Microseconds prev = delays[port].count(level)
-                                        ? delays[port][level]
-                                        : 0.0;
+        PortReport r =
+            compute_port_bounds(config, port, options, delays, index);
+        for (auto& [level, d] : r.level_delays) {
+          const Microseconds prev =
+              delays.has(port, level) ? delays.get(port, level) : 0.0;
           max_change = std::max(max_change, d - prev);
           d = std::max(d, prev);
-          delays[port][level] = d;
+          delays.set(port, level, d);
+          r.delay = std::max(r.delay, d);
         }
-        result.ports[port] = make_report(b, config.utilization(port));
+        result.ports[port] = std::move(r);
       }
       if (max_change <= kEpsilon) break;
     }
@@ -440,9 +299,8 @@ Result analyze(const TrafficConfig& config, const Options& options) {
                  "WCNC: fixed point did not converge (cyclic configuration "
                  "too heavily loaded)");
     result.iterations = round + 1;
-    result.path_bounds = path_bounds_from(config, delays);
   }
-
+  result.path_bounds = path_bounds_from(config, delays);
   return result;
 }
 

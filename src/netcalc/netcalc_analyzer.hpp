@@ -69,14 +69,11 @@ struct PortReport {
 struct Result {
   /// Per-port reports, indexed by LinkId.
   std::vector<PortReport> ports;
-  /// End-to-end bounds, aligned with TrafficConfig::all_paths().
+  /// End-to-end bounds, aligned with TrafficConfig::all_paths() (look one
+  /// path up with TrafficConfig::path_index()).
   std::vector<Microseconds> path_bounds;
   /// Number of fixed-point rounds used (1 when the config is feed-forward).
   int iterations = 0;
-
-  /// Bound for a specific path; throws when the path does not exist.
-  [[nodiscard]] Microseconds bound_for(const TrafficConfig& config,
-                                       PathRef ref) const;
 };
 
 /// Runs the WCNC analysis. Throws afdx::Error when some port is unstable
@@ -84,35 +81,17 @@ struct Result {
 [[nodiscard]] Result analyze(const TrafficConfig& config,
                              const Options& options = {});
 
-/// Bounds of one output port -- the unit of work the parallel analysis
-/// engine schedules across threads and memoizes per port.
-struct PortBounds {
-  std::map<std::uint8_t, Microseconds> level_delays;
-  Bits backlog = 0.0;
-  Bits queue_backlog = 0.0;
-};
-
-/// Computes the bounds of one output port, given the per-port per-class
-/// delays of every upstream port (entries for ports not yet processed may
-/// be empty as long as no crossing VL depends on them). Deterministic:
-/// depends only on (config, port, options, upstream delays).
-[[nodiscard]] PortBounds compute_port_bounds(
-    const TrafficConfig& config, LinkId port, const Options& options,
-    const std::vector<std::map<std::uint8_t, Microseconds>>& port_delays);
-
-/// Flat-table overload of the per-port computation: same bounds, bit for
-/// bit (the index fixes the original aggregation order), without the
-/// per-call partition rebuild and per-upstream-port map lookups. This is
-/// the hot-path variant used by analyze() and the parallel engine.
-[[nodiscard]] PortBounds compute_port_bounds(const TrafficConfig& config,
+/// The report of one output port -- the unit of work the parallel analysis
+/// engine schedules across threads and memoizes per port. `delays` holds
+/// the per-class delays of the upstream ports (cells of ports not yet
+/// processed may be absent as long as no crossing VL depends on them).
+/// Deterministic: depends only on (config, port, options, upstream delays);
+/// the index fixes the floating-point operation order.
+[[nodiscard]] PortReport compute_port_bounds(const TrafficConfig& config,
                                              LinkId port,
                                              const Options& options,
                                              const DelayTable& delays,
                                              const PortFlowIndex& index);
-
-/// Expands computed bounds into the public per-port report.
-[[nodiscard]] PortReport make_report(const PortBounds& bounds,
-                                     double utilization);
 
 /// The used output ports grouped into propagation levels: every
 /// predecessor of a level-k port sits in a level < k, so the ports of one
@@ -122,36 +101,27 @@ struct PortBounds {
 [[nodiscard]] std::optional<std::vector<std::vector<LinkId>>>
 propagation_levels(const TrafficConfig& config);
 
-/// Sums the converged per-port per-class delays along every path of the
-/// configuration (the final assembly step of the analysis), aligned with
-/// TrafficConfig::all_paths().
-[[nodiscard]] std::vector<Microseconds> path_bounds_from(
-    const TrafficConfig& config,
-    const std::vector<std::map<std::uint8_t, Microseconds>>& port_delays);
-
-/// Flat-table overload of the path assembly.
-[[nodiscard]] std::vector<Microseconds> path_bounds_from(
-    const TrafficConfig& config, const DelayTable& delays);
-
 /// The arrival curve of VL `vl` when it reaches port `port`, given the
 /// already-known per-priority-class delays of upstream ports. Exposed for
 /// tests.
-[[nodiscard]] minplus::Curve arrival_curve_at(
-    const TrafficConfig& config, VlId vl, LinkId port,
-    const std::vector<std::map<std::uint8_t, Microseconds>>& port_delays);
+[[nodiscard]] minplus::Curve arrival_curve_at(const TrafficConfig& config,
+                                              VlId vl, LinkId port,
+                                              const DelayTable& delays);
 
 /// The grouped arrival aggregate of the VLs crossing `port` (all priority
 /// classes summed), optionally excluding one VL -- the cross-traffic curve
-/// other analyses (e.g. the SFA residual-service method) build on. Exposed
-/// as advanced API.
-[[nodiscard]] minplus::Curve port_aggregate(
-    const TrafficConfig& config, LinkId port, const Options& options,
-    const std::vector<std::map<std::uint8_t, Microseconds>>& port_delays,
-    VlId exclude = kInvalidVl);
+/// the SFA residual-service method builds on. Same aggregation as
+/// compute_port_bounds.
+[[nodiscard]] minplus::Curve port_aggregate(const TrafficConfig& config,
+                                            LinkId port,
+                                            const Options& options,
+                                            const DelayTable& delays,
+                                            const PortFlowIndex& index,
+                                            VlId exclude = kInvalidVl);
 
-/// Reconstructs the per-port, per-class delay vector from an analysis
-/// result (the `port_delays` input of arrival_curve_at / port_aggregate).
-[[nodiscard]] std::vector<std::map<std::uint8_t, Microseconds>> delay_table(
-    const Result& result);
+/// The converged per-port, per-class delays of an analysis result (the
+/// `delays` input of arrival_curve_at / port_aggregate).
+[[nodiscard]] DelayTable delay_table(const TrafficConfig& config,
+                                     const Result& result);
 
 }  // namespace afdx::netcalc

@@ -8,13 +8,7 @@ namespace afdx::redundancy {
 
 const PathRedundancy& Result::for_path(const TrafficConfig& config_a,
                                        PathRef ref) const {
-  const auto& all = config_a.all_paths();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i].vl == ref.vl && all[i].dest_index == ref.dest_index) {
-      return paths[i];
-    }
-  }
-  throw Error("redundancy Result::for_path: unknown path");
+  return paths[config_a.path_index(ref)];
 }
 
 void require_mirrored_vls(const TrafficConfig& a, const TrafficConfig& b) {

@@ -9,21 +9,36 @@ namespace {
 
 using minplus::Curve;
 
+/// The converged WCNC port delays and the flow index every per-hop
+/// cross-traffic aggregate is computed from.
+struct CrossTraffic {
+  netcalc::DelayTable delays;
+  netcalc::PortFlowIndex index;
+};
+
+CrossTraffic cross_traffic(const TrafficConfig& config,
+                           const Options& options) {
+  // One WCNC pass provides the upstream-delay jitter inflation for every
+  // cross-traffic envelope.
+  const netcalc::Result nc = netcalc::analyze(config, options.netcalc_options);
+  return CrossTraffic{netcalc::delay_table(config, nc),
+                      netcalc::build_port_flow_index(config)};
+}
+
 Curve path_service(const TrafficConfig& config, const VlPath& path,
-                   const Options& options,
-                   const std::vector<std::map<std::uint8_t, Microseconds>>&
-                       delays) {
+                   const Options& options, const CrossTraffic& cross) {
   const Network& net = config.network();
   Curve service;
   bool first = true;
   for (LinkId l : path.links) {
     const Link& link = net.link(l);
     const Curve beta = Curve::rate_latency(link.rate, link.latency);
-    const Curve cross = netcalc::port_aggregate(
-        config, l, options.netcalc_options, delays, path.vl);
+    const Curve aggregate =
+        netcalc::port_aggregate(config, l, options.netcalc_options,
+                                cross.delays, cross.index, path.vl);
     Curve residual;
     try {
-      residual = minplus::residual_service(beta, cross, 0.0);
+      residual = minplus::residual_service(beta, aggregate, 0.0);
     } catch (const Error&) {
       throw Error("SFA: no residual service at port " +
                   net.node(link.source).name + " -> " +
@@ -45,33 +60,19 @@ Curve source_envelope(const TrafficConfig& config, VlId vl) {
 
 }  // namespace
 
-Microseconds Result::bound_for(const TrafficConfig& config, PathRef ref) const {
-  const auto& paths = config.all_paths();
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (paths[i].vl == ref.vl && paths[i].dest_index == ref.dest_index) {
-      return path_bounds[i];
-    }
-  }
-  throw Error("SFA Result::bound_for: unknown path");
-}
-
 minplus::Curve end_to_end_service(const TrafficConfig& config, PathRef ref,
                                   const Options& options) {
-  const netcalc::Result nc = netcalc::analyze(config, options.netcalc_options);
   return path_service(config, config.path(ref), options,
-                      netcalc::delay_table(nc));
+                      cross_traffic(config, options));
 }
 
 Result analyze(const TrafficConfig& config, const Options& options) {
-  // One WCNC pass provides the upstream-delay jitter inflation for every
-  // cross-traffic envelope.
-  const netcalc::Result nc = netcalc::analyze(config, options.netcalc_options);
-  const auto delays = netcalc::delay_table(nc);
+  const CrossTraffic cross = cross_traffic(config, options);
 
   Result result;
   result.path_bounds.reserve(config.all_paths().size());
   for (const VlPath& path : config.all_paths()) {
-    const Curve service = path_service(config, path, options, delays);
+    const Curve service = path_service(config, path, options, cross);
     // Store-and-forward packetization: the fluid convolution would let a
     // frame be forwarded while still being received; every hop except the
     // last re-packetizes the flow, adding up to one own-frame transmission.

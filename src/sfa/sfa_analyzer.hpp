@@ -41,10 +41,6 @@ struct Options {
 struct Result {
   /// End-to-end bounds, aligned with TrafficConfig::all_paths().
   std::vector<Microseconds> path_bounds;
-
-  /// Bound for a specific path; throws when the path does not exist.
-  [[nodiscard]] Microseconds bound_for(const TrafficConfig& config,
-                                       PathRef ref) const;
 };
 
 /// Runs the SFA analysis. Throws afdx::Error when some port is unstable.

@@ -53,13 +53,7 @@ struct PortState {
 
 Microseconds Result::max_delay_for(const TrafficConfig& config,
                                    PathRef ref) const {
-  const auto& paths = config.all_paths();
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (paths[i].vl == ref.vl && paths[i].dest_index == ref.dest_index) {
-      return max_path_delay[i];
-    }
-  }
-  throw Error("sim Result::max_delay_for: unknown path");
+  return max_path_delay[config.path_index(ref)];
 }
 
 Result simulate(const TrafficConfig& config, const Options& options) {

@@ -78,24 +78,6 @@ struct Analyzer::ScratchFrame {
 
 Analyzer::~Analyzer() = default;
 
-Microseconds Result::bound_for(const TrafficConfig& config, PathRef ref) const {
-  const auto& paths = config.all_paths();
-  if (path_index_.empty() && !paths.empty()) {
-    path_index_.reserve(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      path_index_.emplace(
-          (static_cast<std::uint64_t>(paths[i].vl) << 32) | paths[i].dest_index,
-          i);
-    }
-  }
-  const std::uint64_t k =
-      (static_cast<std::uint64_t>(ref.vl) << 32) | ref.dest_index;
-  if (auto it = path_index_.find(k); it != path_index_.end()) {
-    return path_bounds[it->second];
-  }
-  throw Error("Trajectory Result::bound_for: unknown path");
-}
-
 Analyzer::Analyzer(const TrafficConfig& config, const Options& options)
     : cfg_(config), opt_(options) {
   // The trajectory approach is a FIFO analysis; static-priority

@@ -44,7 +44,6 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -77,17 +76,6 @@ struct Options {
 struct Result {
   /// End-to-end bounds, aligned with TrafficConfig::all_paths().
   std::vector<Microseconds> path_bounds;
-
-  /// Bound for a specific path; throws when the path does not exist.
-  /// O(1) after the first call: the (vl, dest_index) -> path index map is
-  /// built once and reused (comparison code calls this per path, which
-  /// used to make the lookup O(paths^2) overall on large networks).
-  [[nodiscard]] Microseconds bound_for(const TrafficConfig& config,
-                                       PathRef ref) const;
-
- private:
-  /// Lazily built lookup index; keyed (vl << 32) | dest_index.
-  mutable std::unordered_map<std::uint64_t, std::size_t> path_index_;
 };
 
 /// Trajectory analyzer. Holds the memoized per-(VL, link) prefix bounds so

@@ -86,6 +86,7 @@ void TrafficConfig::build(std::vector<std::vector<std::vector<LinkId>>> routes) 
 
   link_vls_.assign(net_.link_count(), {});
   routes_.reserve(vls_.size());
+  first_path_.reserve(vls_.size());
 
   for (VlId id = 0; id < vls_.size(); ++id) {
     const VirtualLink& vl = vls_[id];
@@ -113,6 +114,7 @@ void TrafficConfig::build(std::vector<std::vector<std::vector<LinkId>>> routes) 
     for (LinkId l : routes_.back().crossed_links()) {
       link_vls_[l].push_back(id);
     }
+    first_path_.push_back(all_paths_.size());
     for (std::uint32_t d = 0; d < vl.destinations.size(); ++d) {
       all_paths_.push_back(VlPath{id, d, routes_.back().paths()[d]});
     }
@@ -136,11 +138,12 @@ std::optional<VlId> TrafficConfig::find_vl(const std::string& name) const {
   return std::nullopt;
 }
 
-const VlPath& TrafficConfig::path(PathRef ref) const {
-  for (const VlPath& p : all_paths_) {
-    if (p.vl == ref.vl && p.dest_index == ref.dest_index) return p;
-  }
-  throw Error("path not found");
+std::size_t TrafficConfig::path_index(PathRef ref) const {
+  AFDX_REQUIRE(ref.vl < vls_.size() &&
+                   ref.dest_index < vls_[ref.vl].destinations.size(),
+               "unknown path: VL " + std::to_string(ref.vl) +
+                   " destination " + std::to_string(ref.dest_index));
+  return first_path_[ref.vl] + ref.dest_index;
 }
 
 const std::vector<VlId>& TrafficConfig::vls_on_link(LinkId l) const {

@@ -107,8 +107,15 @@ class TrafficConfig {
     return all_paths_;
   }
 
+  /// Position of one path in all_paths(), which is also the position of
+  /// its bound in every analyzer's path_bounds. O(1): paths are stored
+  /// VL-major. Throws afdx::Error on an unknown path.
+  [[nodiscard]] std::size_t path_index(PathRef ref) const;
+
   /// The link sequence of one path.
-  [[nodiscard]] const VlPath& path(PathRef ref) const;
+  [[nodiscard]] const VlPath& path(PathRef ref) const {
+    return all_paths_[path_index(ref)];
+  }
 
   /// Ids of the VLs whose tree crosses output port `l` (deterministic order).
   [[nodiscard]] const std::vector<VlId>& vls_on_link(LinkId l) const;
@@ -131,6 +138,7 @@ class TrafficConfig {
   std::vector<VirtualLink> vls_;
   std::vector<VlRoute> routes_;
   std::vector<VlPath> all_paths_;
+  std::vector<std::size_t> first_path_;      // per VL, into all_paths_
   std::vector<std::vector<VlId>> link_vls_;  // indexed by LinkId
 };
 

@@ -165,7 +165,9 @@ TEST(PathBreakdown, HopDelaysSumToThePathBound) {
     ASSERT_EQ(hops.size(), p.links.size());
     Microseconds total = 0.0;
     for (const auto& hop : hops) total += hop.delay;
-    EXPECT_NEAR(total, nc.bound_for(cfg, PathRef{p.vl, p.dest_index}), 1e-9);
+    EXPECT_NEAR(total,
+                nc.path_bounds[cfg.path_index(PathRef{p.vl, p.dest_index})],
+                1e-9);
   }
 }
 

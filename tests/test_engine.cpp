@@ -298,7 +298,7 @@ TEST(PortCacheConcurrency, MixedHitMissLoadKeepsCountersConsistent) {
   const std::uint64_t key = PortCache::options_key(netcalc::Options{});
   constexpr LinkId kPorts = 20;
   auto bounds_for = [](LinkId port) {
-    netcalc::PortBounds b;
+    netcalc::PortReport b;
     b.backlog = static_cast<double>(port);
     return b;
   };
@@ -355,7 +355,7 @@ TEST(PortCacheConcurrency, DistinctOptionKeysIsolateEntries) {
   const std::uint64_t ka = PortCache::options_key(grouped);
   const std::uint64_t kb = PortCache::options_key(ungrouped);
   ASSERT_NE(ka, kb);
-  netcalc::PortBounds b;
+  netcalc::PortReport b;
   b.backlog = 7.0;
   cache.store(ka, 0, b);
   EXPECT_TRUE(cache.lookup(ka, 0).has_value());
@@ -393,6 +393,18 @@ TEST(PortCacheConcurrency, OptionsKeyMixesEveryField) {
   netcalc::Options base, deeper;
   deeper.max_iterations = base.max_iterations + 1;
   EXPECT_NE(PortCache::options_key(base), PortCache::options_key(deeper));
+}
+
+// The option digests key the port and prefix caches. Pinned so that a
+// change to the FNV-1a mixer cannot silently re-key them.
+TEST(PortCacheConcurrency, OptionDigestsArePinned) {
+  EXPECT_EQ(PortCache::options_key(netcalc::Options{}),
+            17212760670189940997ull);
+  const TrafficConfig cfg = config::sample_config();
+  AnalysisEngine eng(cfg, Options{1});
+  const RunResult r = eng.run_resilient();
+  EXPECT_EQ(r.nc_options_key, 17212760670189940997ull);
+  EXPECT_EQ(r.tj_options_key, 15933874346471170057ull);
 }
 
 TEST(Engine, PropagationLevelsRespectDependencies) {
@@ -814,9 +826,9 @@ TEST(ThreadPool, DynamicSingleThreadRunsInline) {
 TEST(PortCache, SeedStoresAndOverwrites) {
   obs::Registry scope;
   PortCache cache(scope);
-  netcalc::PortBounds a;
+  netcalc::PortReport a;
   a.backlog = 1.0;
-  netcalc::PortBounds b;
+  netcalc::PortReport b;
   b.backlog = 2.0;
   cache.store(7, 0, a);
   cache.seed(7, 0, b);  // seed overwrites, unlike store
@@ -832,7 +844,7 @@ TEST(PortCache, SeedStoresAndOverwrites) {
 TEST(PortCache, EvictCountsOnlyExistingEntries) {
   obs::Registry scope;
   PortCache cache(scope);
-  netcalc::PortBounds b;
+  netcalc::PortReport b;
   cache.store(7, 0, b);
   cache.store(7, 1, b);
   cache.store(8, 0, b);
@@ -1227,7 +1239,8 @@ constexpr MatrixVariant kMatrixVariants[] = {
 };
 
 constexpr const char* kMatrixConfigs[] = {"small_industrial", "poisoning",
-                                          "unstable_file", "grid_a", "grid_b"};
+                                          "unstable_file", "grid_a", "grid_b",
+                                          "cyclic_file"};
 
 TrafficConfig matrix_config(std::size_t index) {
   switch (index) {
@@ -1248,7 +1261,7 @@ TrafficConfig matrix_config(std::size_t index) {
       o.cross_domain_fraction = 0.3;
       return gen::industrial_config(o);
     }
-    default: {
+    case 4: {
       gen::IndustrialOptions o;
       o.seed = 23;
       o.vl_count = 80;
@@ -1261,6 +1274,11 @@ TrafficConfig matrix_config(std::size_t index) {
       o.max_port_utilization = 0.9;
       return gen::industrial_config(o);
     }
+    default:
+      // Cyclic port dependencies: WCNC converges by fixed point, trajectory
+      // fails on every path.
+      return config::load_config_file(AFDX_REPO_ROOT
+                                      "/tests/data/cyclic.afdx");
   }
 }
 

@@ -44,12 +44,7 @@ TrafficConfig ring_config() {
 
 std::size_t path_index(const TrafficConfig& cfg, const std::string& vl_name,
                        std::uint32_t dest = 0) {
-  const VlId vl = *cfg.find_vl(vl_name);
-  const auto& all = cfg.all_paths();
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i].vl == vl && all[i].dest_index == dest) return i;
-  }
-  throw Error("test: unknown path");
+  return cfg.path_index(PathRef{*cfg.find_vl(vl_name), dest});
 }
 
 TEST(Scenario, SingleLinkEnumeratesEveryUsedCableOnce) {

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "config/samples.hpp"
+#include "sfa/sfa_analyzer.hpp"
 
 namespace afdx::netcalc {
 namespace {
@@ -118,8 +119,8 @@ TEST(Netcalc, ArrivalCurveReflectsUpstreamDelays) {
       *net.link_between(*net.find_node("e1"), *net.find_node("S1"));
   const LinkId s1_port =
       *net.link_between(*net.find_node("S1"), *net.find_node("S3"));
-  std::vector<std::map<std::uint8_t, Microseconds>> delays(net.link_count());
-  delays[e1_port][0] = 40.0;
+  DelayTable delays(cfg);
+  delays.set(e1_port, 0, 40.0);
   const VlId v1 = *cfg.find_vl("v1");
   const auto curve = arrival_curve_at(cfg, v1, s1_port, delays);
   EXPECT_NEAR(curve.value(0.0), 4040.0, 1e-9);  // 4000 + rho * 40
@@ -131,7 +132,7 @@ TEST(Netcalc, ArrivalCurveRejectsForeignPort) {
   const Network& net = cfg.network();
   const LinkId e2_port =
       *net.link_between(*net.find_node("e2"), *net.find_node("S1"));
-  std::vector<std::map<std::uint8_t, Microseconds>> delays(net.link_count());
+  const DelayTable delays(cfg);
   EXPECT_THROW(arrival_curve_at(cfg, *cfg.find_vl("v1"), e2_port, delays),
                Error);
 }
@@ -187,13 +188,35 @@ TEST(Netcalc, CyclicConfigurationConvergesByIteration) {
   const Result r = analyze(cfg);
   EXPECT_GT(r.iterations, 1);
   for (Microseconds bound : r.path_bounds) EXPECT_GT(bound, 0.0);
+
+  // Pinned bit for bit: the fixed point's Gauss-Seidel order and its
+  // monotone per-class update decide every digit below.
+  EXPECT_EQ(r.iterations, 4);
+  for (Microseconds bound : r.path_bounds) EXPECT_EQ(bound, 293.9111111111111);
+  for (LinkId inner : {0u, 2u, 4u}) {  // S1>S2, S2>S3, S3>S1
+    EXPECT_EQ(r.ports[inner].backlog, 12209.777777777777) << inner;
+    EXPECT_EQ(r.ports[inner].queue_backlog, 8177.7777777777774) << inner;
+  }
+  for (LinkId exit : {7u, 9u, 11u}) {  // switch -> end system
+    EXPECT_EQ(r.ports[exit].backlog, 8251.5555555555547) << exit;
+    EXPECT_EQ(r.ports[exit].queue_backlog, 4235.5555555555557) << exit;
+  }
+  for (LinkId source : {6u, 8u, 10u}) {  // end system -> switch
+    EXPECT_EQ(r.ports[source].backlog, 8000.0) << source;
+    EXPECT_EQ(r.ports[source].queue_backlog, 4000.0) << source;
+  }
+  // SFA builds its cross traffic on the same converged port delays.
+  for (Microseconds bound : sfa::analyze(cfg).path_bounds) {
+    EXPECT_EQ(bound, 291.331088664422);
+  }
 }
 
 TEST(Netcalc, BoundForLooksUpPaths) {
   const TrafficConfig cfg = config::sample_config();
   const Result r = analyze(cfg);
-  EXPECT_NEAR(r.bound_for(cfg, PathRef{*cfg.find_vl("v5"), 0}), 96.4, 1e-9);
-  EXPECT_THROW(r.bound_for(cfg, PathRef{*cfg.find_vl("v5"), 3}), Error);
+  EXPECT_NEAR(r.path_bounds[cfg.path_index(PathRef{*cfg.find_vl("v5"), 0})],
+              96.4, 1e-9);
+  EXPECT_THROW((void)cfg.path_index(PathRef{*cfg.find_vl("v5"), 3}), Error);
 }
 
 TEST(Netcalc, MulticastIllustrativeConfig) {
@@ -204,8 +227,8 @@ TEST(Netcalc, MulticastIllustrativeConfig) {
   // Both branches of multicast v6 share the first hop, so their bounds
   // differ only by downstream ports.
   const VlId v6 = *cfg.find_vl("v6");
-  const Microseconds b0 = r.bound_for(cfg, PathRef{v6, 0});
-  const Microseconds b1 = r.bound_for(cfg, PathRef{v6, 1});
+  const Microseconds b0 = r.path_bounds[cfg.path_index(PathRef{v6, 0})];
+  const Microseconds b1 = r.path_bounds[cfg.path_index(PathRef{v6, 1})];
   EXPECT_GT(b0, 0.0);
   EXPECT_GT(b1, 0.0);
 }

@@ -111,8 +111,9 @@ TEST(Sfa, UnstablePortThrows) {
 TEST(Sfa, BoundForLookup) {
   const TrafficConfig cfg = config::sample_config();
   const Result r = analyze(cfg);
-  EXPECT_NEAR(r.bound_for(cfg, PathRef{*cfg.find_vl("v5"), 0}), 96.0, 1e-9);
-  EXPECT_THROW(r.bound_for(cfg, PathRef{77, 0}), Error);
+  EXPECT_NEAR(r.path_bounds[cfg.path_index(PathRef{*cfg.find_vl("v5"), 0})],
+              96.0, 1e-9);
+  EXPECT_THROW((void)cfg.path_index(PathRef{77, 0}), Error);
 }
 
 class SfaSoundness : public ::testing::TestWithParam<std::uint64_t> {};

@@ -184,6 +184,12 @@ TEST(TrafficConfig, PathLookupByRef) {
   EXPECT_EQ(p.vl, v6);
   EXPECT_EQ(p.dest_index, 1u);
   EXPECT_THROW((void)cfg.path(PathRef{v6, 9}), Error);
+  EXPECT_THROW((void)cfg.path_index(PathRef{kInvalidVl, 0}), Error);
+  // path_index is the position in all_paths() for every path.
+  const auto& all = cfg.all_paths();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(cfg.path_index(PathRef{all[i].vl, all[i].dest_index}), i);
+  }
 }
 
 TEST(TrafficConfig, IllustrativeConfigIsStableAndMultipath) {

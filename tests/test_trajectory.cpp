@@ -189,8 +189,9 @@ TEST(Trajectory, CyclicConfigurationThrows) {
 TEST(Trajectory, ResultLookupAndErrors) {
   const TrafficConfig cfg = config::sample_config();
   const Result r = analyze(cfg);
-  EXPECT_NEAR(r.bound_for(cfg, PathRef{*cfg.find_vl("v2"), 0}), 272.0, 1e-6);
-  EXPECT_THROW(r.bound_for(cfg, PathRef{99, 0}), Error);
+  EXPECT_NEAR(r.path_bounds[cfg.path_index(PathRef{*cfg.find_vl("v2"), 0})],
+              272.0, 1e-6);
+  EXPECT_THROW((void)cfg.path_index(PathRef{99, 0}), Error);
 }
 
 TEST(Trajectory, DeterministicAcrossAnalyzerInstances) {
