@@ -9,8 +9,17 @@
 //   vl <name> src=<es> dst=<es>[,<es>...] bag=<us> smin=<bytes> smax=<bytes>
 //   route <vl> <dest-index> <n0>><n1> <n1>><n2> ...
 //
-// `route` lines are optional; destinations without one are routed on the
-// shortest path. Loading always re-validates the full configuration.
+// Directives may come in any order after the header, except that a `link`
+// or `vl` line names nodes declared above it. `route` lines are optional;
+// destinations without one are routed on the shortest path. Routes are
+// resolved after the last line, so a route may precede its `vl` line and
+// its hops may name nodes declared further down. A second `vl` with the
+// same name, or a second `route` for the same (VL, destination index), is
+// rejected with both line numbers. Every error caused by one line starts
+// with "line N: "; whole-network checks (missing header, unconnected
+// switch) carry no line. Loading always re-validates the full
+// configuration. Loading is linear in the file size: one pass splits each
+// line in place, and every name is resolved through a hash.
 #pragma once
 
 #include <iosfwd>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -176,10 +177,34 @@ TrafficConfig industrial_config(const IndustrialOptions& o) {
   // Track port rate usage while drawing VLs so the utilization cap holds.
   std::vector<double> port_rate(net.link_count(), 0.0);
 
+  // The topology is a tree and every end system has one uplink, so the
+  // route between two end systems is unique: the source's uplink, the
+  // switch-to-switch path, then the destination's downlink. The middle
+  // part depends only on the two switches and is computed once per pair.
+  auto uplink = [&](NodeId es) {
+    const std::vector<LinkId>& out = net.links_from(es);
+    AFDX_ASSERT(out.size() == 1, "generated end system must have one uplink");
+    return out.front();
+  };
+  std::unordered_map<std::uint64_t, std::vector<LinkId>> switch_paths;
   auto path_links = [&](NodeId src, NodeId dst) {
-    auto p = net.shortest_path(src, dst);
-    AFDX_ASSERT(p.has_value(), "generated topology must be connected");
-    return *p;
+    const LinkId up = uplink(src);
+    const LinkId down = net.reverse(uplink(dst));
+    const NodeId src_sw = net.link(up).dest;
+    const NodeId dst_sw = net.link(down).source;
+    auto [it, inserted] = switch_paths.try_emplace(
+        (static_cast<std::uint64_t>(src_sw) << 32) | dst_sw);
+    if (inserted) {
+      auto p = net.shortest_path(src_sw, dst_sw);
+      AFDX_ASSERT(p.has_value(), "generated topology must be connected");
+      it->second = std::move(*p);
+    }
+    std::vector<LinkId> path;
+    path.reserve(it->second.size() + 2);
+    path.push_back(up);
+    path.insert(path.end(), it->second.begin(), it->second.end());
+    path.push_back(down);
+    return path;
   };
 
   auto random_es_of = [&](std::size_t sw) {
@@ -189,6 +214,7 @@ TrafficConfig industrial_config(const IndustrialOptions& o) {
   };
 
   std::vector<VirtualLink> vls;
+  std::vector<std::vector<std::vector<LinkId>>> routes;
   int produced = 0;
   int attempts = 0;
   const int max_attempts = o.vl_count * 50;
@@ -295,10 +321,14 @@ TrafficConfig industrial_config(const IndustrialOptions& o) {
     // sure the VL fits everywhere; if not, retry with a larger BAG. The
     // tree does not depend on the BAG, so it is computed once, outside the
     // retry loop.
-    std::set<LinkId> tree;
+    std::vector<std::vector<LinkId>> paths;
+    std::vector<LinkId> tree;
     for (NodeId dst : vl.destinations) {
-      for (LinkId l : path_links(vl.source, dst)) tree.insert(l);
+      paths.push_back(path_links(vl.source, dst));
+      tree.insert(tree.end(), paths.back().begin(), paths.back().end());
     }
+    std::sort(tree.begin(), tree.end());
+    tree.erase(std::unique(tree.begin(), tree.end()), tree.end());
     for (; bag_idx < bags.size(); ++bag_idx) {
       vl.bag = bags[bag_idx];
       bool fits = true;
@@ -313,6 +343,7 @@ TrafficConfig industrial_config(const IndustrialOptions& o) {
       if (fits) {
         for (LinkId l : tree) port_rate[l] += vl.rate_bits_per_us();
         vls.push_back(vl);
+        routes.push_back(std::move(paths));
         ++produced;
         break;
       }
@@ -322,7 +353,7 @@ TrafficConfig industrial_config(const IndustrialOptions& o) {
                "industrial_config: could not place all VLs under the port "
                "utilization cap; lower vl_count or raise the cap");
 
-  return TrafficConfig(std::move(net), std::move(vls));
+  return TrafficConfig(std::move(net), std::move(vls), std::move(routes));
 }
 
 }  // namespace afdx::gen

@@ -23,6 +23,12 @@
 // feed-forward by construction and the utilization cap is enforced on
 // every link including the backbone. domains = 1 reproduces the legacy
 // single-domain generator bit-for-bit (same RNG stream, same names).
+//
+// Because the topology is a tree and every end system has exactly one
+// uplink, the route between two end systems is unique: uplink, then the
+// switch-to-switch path, then downlink. The generator computes each
+// switch-to-switch path once per switch pair and hands every VL its routes
+// explicitly, so building the configuration runs no shortest-path search.
 #pragma once
 
 #include <cstdint>

@@ -10,9 +10,9 @@ namespace afdx {
 
 NodeId Network::add_node(std::string name, NodeKind kind) {
   AFDX_REQUIRE(!name.empty(), "node name must not be empty");
-  AFDX_REQUIRE(!find_node(name).has_value(),
-               "duplicate node name: " + name);
   const NodeId id = static_cast<NodeId>(nodes_.size());
+  AFDX_REQUIRE(node_index_.try_emplace(name, id).second,
+               "duplicate node name: " + name);
   nodes_.push_back(Node{std::move(name), kind});
   out_links_.emplace_back();
   in_links_.emplace_back();
@@ -42,6 +42,8 @@ LinkId Network::connect(NodeId a, NodeId b, const LinkParams& params) {
   auto port_latency = [&](NodeId src) {
     return is_switch(src) ? params.switch_latency : params.end_system_latency;
   };
+  AFDX_REQUIRE(port_latency(a) >= 0.0 && port_latency(b) >= 0.0,
+               "connect: link with negative latency");
 
   const LinkId forward = static_cast<LinkId>(links_.size());
   links_.push_back(Link{a, b, params.rate, port_latency(a)});
@@ -66,11 +68,10 @@ const Link& Network::link(LinkId id) const {
   return links_[id];
 }
 
-std::optional<NodeId> Network::find_node(const std::string& name) const {
-  for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].name == name) return i;
-  }
-  return std::nullopt;
+std::optional<NodeId> Network::find_node(std::string_view name) const {
+  const auto it = node_index_.find(name);
+  if (it == node_index_.end()) return std::nullopt;
+  return it->second;
 }
 
 const std::vector<LinkId>& Network::links_from(NodeId id) const {
@@ -175,10 +176,6 @@ void Network::validate() const {
       AFDX_REQUIRE(!out_links_[i].empty(),
                    "switch " + n.name + " has no connections");
     }
-  }
-  for (const Link& l : links_) {
-    AFDX_REQUIRE(l.rate > 0.0, "link with non-positive rate");
-    AFDX_REQUIRE(l.latency >= 0.0, "link with negative latency");
   }
 }
 

@@ -10,13 +10,17 @@
 // Architectural constraints enforced by Network::validate():
 //   * an end system is connected to exactly one switch (ARINC 664 part 7);
 //   * a switch port is connected to at most one end system;
-//   * no self-loops, no duplicate cables;
-//   * every link has a positive rate.
+//   * every switch has a connection.
+// Network::connect rejects self-loops, duplicate cables, non-positive rates
+// and negative latencies as the cable is added.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.hpp"
@@ -73,7 +77,7 @@ class Network {
   /// Connects two nodes with a full-duplex cable: creates the directed link
   /// a->b and b->a. Returns the id of the a->b direction (the b->a direction
   /// is always `returned id + 1`). Throws afdx::Error on duplicate cables,
-  /// self-loops or ES-to-ES cables.
+  /// self-loops, ES-to-ES cables, a non-positive rate or a negative latency.
   LinkId connect(NodeId a, NodeId b, const LinkParams& params = {});
 
   // -- Queries ---------------------------------------------------------------
@@ -87,8 +91,9 @@ class Network {
   [[nodiscard]] bool is_end_system(NodeId id) const { return node(id).kind == NodeKind::kEndSystem; }
   [[nodiscard]] bool is_switch(NodeId id) const { return node(id).kind == NodeKind::kSwitch; }
 
-  /// Id of the node with the given name, if any.
-  [[nodiscard]] std::optional<NodeId> find_node(const std::string& name) const;
+  /// Id of the node with the given name, if any. O(1): names are hashed
+  /// as nodes are added.
+  [[nodiscard]] std::optional<NodeId> find_node(std::string_view name) const;
 
   /// Outgoing directed links of `id`.
   [[nodiscard]] const std::vector<LinkId>& links_from(NodeId id) const;
@@ -143,7 +148,17 @@ class Network {
  private:
   NodeId add_node(std::string name, NodeKind kind);
 
+  /// Hashes std::string keys and std::string_view probes alike, so lookups
+  /// by view allocate nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<Node> nodes_;
+  std::unordered_map<std::string, NodeId, NameHash, std::equal_to<>> node_index_;
   std::vector<Link> links_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<std::vector<LinkId>> in_links_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "config/serialization.hpp"
 #include "trajectory/trajectory_analyzer.hpp"
 
 namespace afdx::gen {
@@ -243,6 +244,39 @@ TEST(Industrial, SingleSwitchDegenerateCase) {
   const TrafficConfig cfg = industrial_config(o);
   EXPECT_EQ(cfg.vl_count(), 20u);
   for (const VlPath& p : cfg.all_paths()) EXPECT_EQ(p.links.size(), 2u);
+}
+
+// The generator's saved text is pinned byte for byte: FNV-1a 64 digests of
+// save_config_string over a spread of seeds, domain counts and shapes.
+TEST(Industrial, SavedTextIsPinned) {
+  struct Pin {
+    std::uint64_t seed;
+    int domains, vl_count, switch_count, end_system_count;
+    double multicast_fraction;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {7, 1, 1000, 8, 60, 0.4, 17170155347691230478ull},
+      {42, 4, 3000, 8, 60, 0.4, 17888089043224236501ull},
+      {1, 8, 10000, 8, 60, 0.4, 17986883879759743975ull},
+      {5, 1, 500, 3, 20, 0.5, 3117602676351775346ull},
+      {9, 2, 800, 1, 10, 0.3, 18169873930664162175ull},
+  };
+  for (const Pin& p : pins) {
+    IndustrialOptions o;
+    o.seed = p.seed;
+    o.domains = p.domains;
+    o.vl_count = p.vl_count;
+    o.switch_count = p.switch_count;
+    o.end_system_count = p.end_system_count;
+    o.multicast_fraction = p.multicast_fraction;
+    std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64 offset basis
+    for (unsigned char c : config::save_config_string(industrial_config(o))) {
+      h = (h ^ c) * 1099511628211ull;  // FNV-1a 64 prime
+    }
+    EXPECT_EQ(h, p.digest) << "seed " << p.seed << ", " << p.domains
+                           << " domains, " << p.vl_count << " VLs";
+  }
 }
 
 }  // namespace
