@@ -14,7 +14,6 @@
 //   --out[=FILE]       emit the machine-readable bench JSON document
 //                      ("afdx-bench/1" schema, see EXPERIMENTS.md); bare
 //                      --out writes the default BENCH_<bench>.json
-//                      (--bench-json=FILE is the legacy spelling)
 //   --trace=FILE       record scoped spans and write Chrome trace JSON
 #pragma once
 
@@ -41,8 +40,8 @@ struct BenchCli {
   std::optional<std::string> trace_path;
 
   /// Where the bench JSON document should go, if anywhere: an explicit
-  /// --out=FILE (or the legacy --bench-json=FILE spelling) wins; a bare
-  /// --out selects the consistent default BENCH_<bench>.json.
+  /// --out=FILE wins; a bare --out selects the consistent default
+  /// BENCH_<bench>.json.
   [[nodiscard]] std::optional<std::string> resolve_json_path(
       const char* bench_name) const {
     if (json_path.has_value()) return json_path;
@@ -64,9 +63,6 @@ inline BenchCli extract_cli(int& argc, char** argv) {
       cli.out_default = true;
     } else if (arg.rfind("--out=", 0) == 0) {
       cli.json_path = arg.substr(6);
-    } else if (arg.rfind("--bench-json=", 0) == 0) {
-      // Legacy spelling of --out=FILE; kept so existing scripts work.
-      cli.json_path = arg.substr(13);
     } else if (arg.rfind("--trace=", 0) == 0) {
       cli.trace_path = arg.substr(8);
     } else {
@@ -169,7 +165,6 @@ inline void write_metrics_json(obs::JsonWriter& w,
   w.key("metrics").begin_object();
   w.field("netcalc_wall_us", m.netcalc_wall_us)
       .field("trajectory_wall_us", m.trajectory_wall_us)
-      .field("combine_wall_us", m.combine_wall_us)
       .field("total_wall_us", m.total_wall_us)
       .field("total_cpu_us", m.total_cpu_us)
       .field("paths", m.paths)

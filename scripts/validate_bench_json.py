@@ -77,9 +77,9 @@ def check_registry(doc):
 def check_metrics(doc):
     if "metrics" not in doc:  # optional: only engine-driven benches emit it
         return
-    for field in ("netcalc_wall_us", "trajectory_wall_us", "combine_wall_us",
-                  "total_wall_us", "total_cpu_us", "paths",
-                  "paths_per_second", "threads", "levels", "max_level_width"):
+    for field in ("netcalc_wall_us", "trajectory_wall_us", "total_wall_us",
+                  "total_cpu_us", "paths", "paths_per_second", "threads",
+                  "levels", "max_level_width"):
         check_number(doc, f"metrics.{field}", allow_none=True)
     for field in ("hits", "misses", "hit_rate"):
         check_number(doc, f"metrics.cache.{field}", allow_none=True)

@@ -113,9 +113,6 @@ struct RunMetrics {
   Microseconds netcalc_wall_us = 0.0;
   /// Caps plus the trajectory loop, including each path's assembly.
   Microseconds trajectory_wall_us = 0.0;
-  /// Always 0: each path is combined inside the trajectory loop. Kept for
-  /// the afdx-bench/1 schema.
-  Microseconds combine_wall_us = 0.0;
   /// The calls' wall time: the phases plus run_incremental's planning.
   Microseconds total_wall_us = 0.0;
   /// Process CPU time across all workers (>= wall time when the pool is

@@ -1,0 +1,136 @@
+// Exact work counters of the analysis pipeline, pinned per workload.
+//
+// Wall time varies between machines and runs; the work an analysis does
+// does not. Each case runs a fresh engine at threads = 1 (with more
+// workers the schedule decides how many prefixes the shards recompute)
+// and compares the deltas of four root-registry counters for exact
+// equality: WCNC ports computed, trajectory prefixes computed, and the
+// segment and candidate sums over those prefixes. A change that moves any
+// of them re-pins the table and says why in its description; a cost
+// regression that leaves every bound unchanged (a lost pruning rule, a
+// cache that stopped hitting) fails here.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <ostream>
+
+#include "config/serialization.hpp"
+#include "engine/engine.hpp"
+#include "engine/session.hpp"
+#include "gen/industrial.hpp"
+#include "obs/counters.hpp"
+
+namespace afdx::engine {
+namespace {
+
+struct Work {
+  std::uint64_t ports = 0;
+  std::uint64_t prefixes = 0;
+  std::uint64_t segments = 0;
+  std::uint64_t candidates = 0;
+
+  bool operator==(const Work&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const Work& w) {
+  return out << "{ports " << w.ports << ", prefixes " << w.prefixes
+             << ", segments " << w.segments << ", candidates "
+             << w.candidates << "}";
+}
+
+Work snapshot() {
+  obs::Registry& root = obs::registry();
+  return Work{root.counter("netcalc.ports_computed").value(),
+              root.counter("trajectory.prefixes").value(),
+              root.histogram("trajectory.segments_per_prefix").sum(),
+              root.histogram("trajectory.candidates_per_prefix").sum()};
+}
+
+/// The work `step` does.
+Work work_of(const std::function<void()>& step) {
+  const Work before = snapshot();
+  step();
+  const Work after = snapshot();
+  return Work{after.ports - before.ports, after.prefixes - before.prefixes,
+              after.segments - before.segments,
+              after.candidates - before.candidates};
+}
+
+TrafficConfig generated(std::uint64_t seed, int domains, int vl_count) {
+  gen::IndustrialOptions o;
+  o.seed = seed;
+  o.domains = domains;
+  o.vl_count = vl_count;
+  return gen::industrial_config(o);
+}
+
+TEST(WorkCounters, ColdAndRepeatRunsArePinned) {
+  struct Case {
+    const char* name;
+    std::function<TrafficConfig()> config;
+    Work cold;
+    /// A second run on the same engine.
+    Work repeat;
+  };
+  const Case cases[] = {
+      {"generated seed 42, 500 VLs", [] { return generated(42, 1, 500); },
+       {134, 2442, 273823, 6626}, {0, 0, 0, 0}},
+      {"generated seed 1, 4 domains, 2000 VLs",
+       [] { return generated(1, 4, 2000); },
+       {543, 10014, 1175429, 40772}, {0, 0, 0, 0}},
+      {"sample.afdx",
+       [] {
+         return config::load_config_file(AFDX_REPO_ROOT
+                                         "/tests/data/sample.afdx");
+       },
+       {9, 13, 29, 0}, {0, 0, 0, 0}},
+      {"cyclic.afdx",
+       [] {
+         return config::load_config_file(AFDX_REPO_ROOT
+                                         "/tests/data/cyclic.afdx");
+       },
+       // Each run repeats the serial fixed point (the port cache holds
+       // feed-forward ports only), and trajectory failures are not cached.
+       {36, 12, 0, 0}, {36, 12, 0, 0}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const TrafficConfig cfg = c.config();
+    AnalysisEngine eng(cfg, Options{1});
+    const auto run = [&] {
+      (void)eng.run_streaming([](const StreamPathResult&) {});
+    };
+    EXPECT_EQ(work_of(run), c.cold);
+    EXPECT_EQ(work_of(run), c.repeat);
+  }
+}
+
+// A what-if re-bounds only its dirty cone: the ports it computes are
+// exactly the ones the incremental plan marked dirty.
+TEST(WorkCounters, WhatIfComputesExactlyTheDirtyCone) {
+  gen::IndustrialOptions o;
+  o.seed = 7;
+  o.switch_count = 24;
+  o.end_system_count = 180;
+  o.vl_count = 1000;
+  o.multicast_fraction = 0.1;
+  o.max_multicast_fanout = 2;
+  const auto cfg =
+      std::make_shared<const TrafficConfig>(gen::industrial_config(o));
+
+  std::shared_ptr<const BaselineState> base;
+  EXPECT_EQ(work_of([&] { base = BaselineState::build(cfg); }),
+            (Work{382, 3425, 334753, 8593}));
+
+  OverlaySession session(base);
+  session.override_bag(cfg->vl(17).name, 1000.0);
+  const Work whatif = work_of([&] { (void)session.analyze(); });
+  EXPECT_EQ(whatif, (Work{136, 1051, 176235, 4872}));
+  EXPECT_EQ(whatif.ports, session.last_incremental().dirty_ports);
+  EXPECT_EQ(session.last_incremental().transplanted_paths, 315u);
+}
+
+}  // namespace
+}  // namespace afdx::engine

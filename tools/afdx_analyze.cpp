@@ -43,12 +43,10 @@
 //                                              link:<a>-<b> / switch:<n> /
 //                                              es:<n> elements (one k-fault
 //                                              scenario); the flag repeats.
-//   --incremental / --no-incremental           fault scenarios reuse the
-//                                              healthy run as a baseline and
-//                                              recompute only the dirty cone
-//                                              of the failed elements
-//                                              (default on; bit-identical
-//                                              either way)
+//                                              Each scenario re-bounds only
+//                                              the dirty cone of its failed
+//                                              elements against the healthy
+//                                              run.
 //   --partial                                  resilient run: contain
 //                                              per-port/per-path analysis
 //                                              failures and report partial
@@ -147,9 +145,6 @@ struct CliOptions {
   std::optional<std::string> trace_file;
   /// --faults values: "single-link", "single-switch" or custom specs.
   std::vector<std::string> faults;
-  /// --incremental / --no-incremental: reuse the healthy run as baseline
-  /// for the fault scenarios (bit-identical, much faster). Default on.
-  bool incremental = true;
   netcalc::Options nc;
   trajectory::Options tj;
   engine::Options eng;
@@ -165,7 +160,6 @@ void print_usage(std::ostream& out) {
          "         --method=netcalc|trajectory|sfa|all  --csv  --ports\n"
          "         --simulate=N  --no-grouping  --no-serialization\n"
          "         --threads=N (0 = auto)  --metrics\n"
-         "         --incremental | --no-incremental  (fault-scenario reuse)\n"
          "         --faults=single-link|single-switch|<spec>  (repeatable;\n"
          "           <spec> = comma-separated link:<a>-<b>, switch:<name>,\n"
          "           es:<name> elements forming one scenario)\n"
@@ -246,10 +240,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
         return std::nullopt;
       }
       opts.eng.threads = static_cast<int>(*n);
-    } else if (arg == "--incremental") {
-      opts.incremental = true;
-    } else if (arg == "--no-incremental") {
-      opts.incremental = false;
     } else if (arg == "--metrics") {
       opts.metrics = true;
     } else if (arg == "--ladder") {
@@ -363,7 +353,6 @@ int run(const CliOptions& opts) {
     so.tj = opts.tj;
     so.threads = opts.eng.threads;
     so.cancel = cancel_ptr;
-    so.incremental = opts.incremental;
     const faults::DegradationReport report =
         faults::analyze_scenarios(config, std::move(scenarios), so);
     report.print(std::cout, config);
