@@ -5,10 +5,13 @@
 # shared-cache / per-shard metrics regressions), the trajectory analyzer's
 # reuse-after-throw regression and SIMD-vs-scalar sweep identity tests,
 # the observability layer's tracer / counter concurrency tests, the
-# serving subsystem's concurrent session / server tests, and the
-# accuracy/cost ladder's sharded escalation tests (see README "Sanitizer
-# builds"). The Engine*/Trajectory* name filters below pick the new tests
-# up automatically.
+# serving subsystem's concurrent session / server tests, the
+# accuracy/cost ladder's sharded escalation tests, and the two other
+# ThreadPool batch callers: the parallel fault sweep
+# (Report.ParallelSweepMatchesSerial) and the parallel fuzz campaigns
+# (Campaign.ReportIsDeterministicAcrossThreadCounts) (see README
+# "Sanitizer builds"). The Engine*/Trajectory* name filters below pick the
+# new tests up automatically.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -eu
@@ -16,7 +19,8 @@ set -eu
 BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S "$(dirname "$0")/.." -DAFDX_SANITIZE=thread
-cmake --build "$BUILD_DIR" --target test_engine test_obs test_serve test_ladder test_trajectory -j"$(nproc)"
+cmake --build "$BUILD_DIR" --target test_engine test_obs test_serve test_ladder test_trajectory \
+    test_faults test_valid -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" \
-    -R '^(Engine|ThreadPool|PortCache|Tracer|Counters|JsonWriter|Overhead|Session|Serve|Ladder|Trajectory)' \
+    -R '^(Engine|ThreadPool|PortCache|Tracer|Counters|JsonWriter|Overhead|Session|Serve|Ladder|Trajectory)|^Report\.ParallelSweepMatchesSerial$|^Campaign\.ReportIsDeterministicAcrossThreadCounts$' \
     --output-on-failure

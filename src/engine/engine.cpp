@@ -52,19 +52,15 @@ void observe_phase_us(obs::Registry& scope, const char* phase,
 
 // Tripwire: trajectory_options_key below must fingerprint EVERY field of
 // trajectory::Options, same contract as PortCache::options_key.
-static_assert(sizeof(trajectory::Options) == 8,
+static_assert(sizeof(trajectory::Options) == 2,
               "trajectory::Options changed: update trajectory_options_key to "
               "mix in every field, then bump this expected size");
 
 /// FNV-1a digest of the trajectory option fields prefix bounds depend on.
 std::uint64_t trajectory_options_key(const trajectory::Options& o) noexcept {
-  std::uint64_t h = fnv_mix(kFnvOffsetBasis, o.serialization ? 1u : 0u, 1);
-  h = fnv_mix(h, o.loose_boundary_packet ? 1u : 0u, 1);
-  h = fnv_mix(h,
-              static_cast<std::uint64_t>(
-                  static_cast<std::uint32_t>(o.max_busy_iterations)),
-              sizeof(o.max_busy_iterations));
-  return h;
+  const std::uint64_t h =
+      fnv_mix(kFnvOffsetBasis, o.serialization ? 1u : 0u, 1);
+  return fnv_mix(h, o.loose_boundary_packet ? 1u : 0u, 1);
 }
 
 /// Bitwise digest of a serialization-caps vector. Prefix bounds are pure
@@ -189,7 +185,7 @@ AnalysisEngine::WcncPass AnalysisEngine::run_wcnc(
       }
     }
 
-    const auto failures = pool_.parallel_for_dynamic_contained(
+    const auto failures = pool_.parallel_for_contained(
         compute.size(), [&](std::size_t i, int) {
           const LinkId port = compute[i];
           netcalc::PortReport& report = pass.result.ports[port];
@@ -329,7 +325,7 @@ void AnalysisEngine::bound_paths(const TrajectoryContext& ctx,
     std::size_t paths_done = 0;
   };
   std::vector<Shard> local(static_cast<std::size_t>(pool_.thread_count()));
-  pool_.parallel_for_dynamic(vl_order.size(), [&](std::size_t k, int w) {
+  pool_.parallel_for(vl_order.size(), [&](std::size_t k, int w) {
     Shard& shard = local[static_cast<std::size_t>(w)];
     if (!shard.initialized) {
       AFDX_TRACE_SPAN("engine.trajectory.shard", "engine");

@@ -3,8 +3,9 @@
 // A Server couples one Service to its I/O: requests arrive as lines (stdio
 // stream or TCP connections on 127.0.0.1), pass through a bounded admission
 // queue, and are executed by a fixed pool of worker threads (the existing
-// engine::ThreadPool -- one long-lived parallel_for batch whose body drains
-// the queue). Responses go back over the requester's transport; each
+// engine::ThreadPool -- one parallel_for batch with one index per worker,
+// so each worker claims its own index and runs one long-lived loop that
+// drains the queue). Responses go back over the requester's transport; each
 // transport serializes its writes, so concurrent workers never interleave
 // response lines.
 //

@@ -17,6 +17,10 @@ namespace afdx::trajectory {
 
 namespace {
 
+/// Hard cap on busy-period fixed-point rounds (guards divergence when the
+/// summed path utilization is >= 1).
+constexpr int kMaxBusyIterations = 10000;
+
 /// Number of frames of a sporadic flow (period T, arrival window widened by
 /// the jitter term a) that can interfere with a packet generated at t.
 double frame_count(Microseconds t, Microseconds a, Microseconds period) {
@@ -451,7 +455,7 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   const Microseconds response_at_zero = response(0.0);
   Microseconds busy = std::max<Microseconds>(response_at_zero, 0.0);
   int rounds = 0;
-  for (; rounds < opt_.max_busy_iterations; ++rounds) {
+  for (; rounds < kMaxBusyIterations; ++rounds) {
     const Microseconds next = response(busy) + busy;  // workload at `busy`
     if (next <= busy + kEpsilon) break;
     busy = next;
@@ -459,7 +463,7 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
                  "trajectory: busy period diverges for VL " + cfg_.vl(i).name +
                      " (summed path utilization >= 1)");
   }
-  AFDX_REQUIRE(rounds < opt_.max_busy_iterations,
+  AFDX_REQUIRE(rounds < kMaxBusyIterations,
                "trajectory: busy-period fixed point did not converge for VL " +
                    cfg_.vl(i).name);
   // Competing-frame accounting: segment count and busy-period growth are

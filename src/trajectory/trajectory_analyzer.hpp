@@ -67,9 +67,6 @@ struct Options {
   /// frame of ANY VL met in the node (the paper's wording) instead of the
   /// refined set of VLs actually routed through the node transition.
   bool loose_boundary_packet = false;
-  /// Hard cap on busy-period fixed-point rounds (guards divergence when the
-  /// summed path utilization is >= 1).
-  int max_busy_iterations = 10000;
 };
 
 /// Full analysis result.

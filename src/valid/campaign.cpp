@@ -2,15 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <iomanip>
 #include <ostream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "config/serialization.hpp"
 #include "engine/thread_pool.hpp"
+#include "obs/bench_json.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "valid/corpus.hpp"
@@ -42,52 +42,22 @@ void merge_pessimism(analysis::PessimismStats& agg,
   agg.paths += s.paths;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
+void write_pessimism(obs::JsonWriter& w, std::string_view name,
+                     const analysis::PessimismStats& s) {
+  w.key(name).begin_object();
+  w.field("mean", s.mean).field("min", s.min).field("max", s.max);
+  w.field("paths", s.paths).end_object();
 }
 
-void write_pessimism(std::ostream& out, const analysis::PessimismStats& s) {
-  out << "{\"mean\": " << s.mean << ", \"min\": " << s.min
-      << ", \"max\": " << s.max << ", \"paths\": " << s.paths << "}";
-}
-
-void write_violation(std::ostream& out, const Violation& v,
+void write_violation(obs::JsonWriter& w, const Violation& v,
                      std::size_t campaign, const std::string& corpus_file) {
-  out << "{\"campaign\": " << campaign << ", \"kind\": \""
-      << to_string(v.kind) << "\", \"method\": \"" << json_escape(v.method)
-      << "\", \"index\": " << v.index << ", \"observed\": " << v.observed
-      << ", \"bound\": " << v.bound << ", \"detail\": \""
-      << json_escape(v.detail) << "\"";
-  if (!corpus_file.empty()) {
-    out << ", \"corpus\": \"" << json_escape(corpus_file) << "\"";
-  }
-  out << "}";
+  w.begin_object();
+  w.field("campaign", campaign).field("kind", to_string(v.kind));
+  w.field("method", v.method).field("index", v.index);
+  w.field("observed", v.observed).field("bound", v.bound);
+  w.field("detail", v.detail);
+  if (!corpus_file.empty()) w.field("corpus", corpus_file);
+  w.end_object();
 }
 
 }  // namespace
@@ -240,68 +210,54 @@ CampaignReport run_campaigns(const CampaignOptions& options) {
 }
 
 void CampaignReport::write_json(std::ostream& out, bool include_timing) const {
-  out << std::setprecision(12);
-  out << "{\n";
-  out << "  \"tool\": \"afdx_fuzz\",\n";
-  out << "  \"format\": 1,\n";
-  out << "  \"seed\": " << seed << ",\n";
-  out << "  \"campaigns\": " << campaigns << ",\n";
+  obs::JsonWriter w(out);
+  w.begin_object();
+  w.field("tool", "afdx_fuzz").field("format", 1);
+  w.field("seed", seed).field("campaigns", campaigns);
   if (include_timing) {
-    out << "  \"threads\": " << threads << ",\n";
-    out << "  \"wall_ms\": " << wall_us / 1000.0 << ",\n";
+    w.field("threads", threads).field("wall_ms", wall_us / 1000.0);
   }
-  out << "  \"completed\": " << completed << ",\n";
-  out << "  \"skipped\": " << skipped << ",\n";
-  out << "  \"interrupted\": " << interrupted << ",\n";
-  out << "  \"paths_checked\": " << paths << ",\n";
-  out << "  \"schedules_simulated\": " << schedules_simulated << ",\n";
-  out << "  \"violations\": " << violation_count << ",\n";
-  out << "  \"pessimism\": {\n";
-  out << "    \"wcnc\": ";
-  write_pessimism(out, wcnc);
-  out << ",\n    \"trajectory\": ";
-  write_pessimism(out, trajectory);
-  out << ",\n    \"combined\": ";
-  write_pessimism(out, combined);
-  out << "\n  },\n";
+  w.field("completed", completed).field("skipped", skipped);
+  w.field("interrupted", interrupted).field("paths_checked", paths);
+  w.field("schedules_simulated", schedules_simulated);
+  w.field("violations", violation_count);
+  w.key("pessimism").begin_object();
+  write_pessimism(w, "wcnc", wcnc);
+  write_pessimism(w, "trajectory", trajectory);
+  write_pessimism(w, "combined", combined);
+  w.end_object();
 
-  out << "  \"violation_details\": [";
-  bool first = true;
+  w.key("violation_details").begin_array();
   for (const CampaignOutcome& o : outcomes) {
     for (const Violation& v : o.check.violations) {
-      out << (first ? "\n    " : ",\n    ");
-      write_violation(out, v, o.spec.index, o.corpus_file);
-      first = false;
+      write_violation(w, v, o.spec.index, o.corpus_file);
     }
   }
-  out << (first ? "],\n" : "\n  ],\n");
+  w.end_array();
 
-  out << "  \"campaign_results\": [";
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const CampaignOutcome& o = outcomes[i];
-    out << (i == 0 ? "\n    " : ",\n    ");
-    out << "{\"index\": " << o.spec.index << ", \"config_seed\": "
-        << o.spec.gen.seed;
+  w.key("campaign_results").begin_array();
+  for (const CampaignOutcome& o : outcomes) {
+    w.begin_object();
+    w.field("index", o.spec.index).field("config_seed", o.spec.gen.seed);
     if (o.interrupted) {
-      out << ", \"interrupted\": true}";
-      continue;
+      w.field("interrupted", true);
+    } else if (o.skipped) {
+      w.field("skipped", true).field("reason", o.skip_reason);
+    } else {
+      w.field("vls", o.vls).field("paths", o.paths);
+      w.field("schedules", o.check.schedules_simulated);
+      w.field("violations", o.check.violations.size());
+      w.key("pessimism_mean").begin_object();
+      w.field("wcnc", o.check.wcnc.mean);
+      w.field("trajectory", o.check.trajectory.mean);
+      w.field("combined", o.check.combined.mean).end_object();
+      if (include_timing) w.field("wall_us", o.wall_us);
     }
-    if (o.skipped) {
-      out << ", \"skipped\": true, \"reason\": \""
-          << json_escape(o.skip_reason) << "\"}";
-      continue;
-    }
-    out << ", \"vls\": " << o.vls << ", \"paths\": " << o.paths
-        << ", \"schedules\": " << o.check.schedules_simulated
-        << ", \"violations\": " << o.check.violations.size()
-        << ", \"pessimism_mean\": {\"wcnc\": " << o.check.wcnc.mean
-        << ", \"trajectory\": " << o.check.trajectory.mean
-        << ", \"combined\": " << o.check.combined.mean << "}";
-    if (include_timing) out << ", \"wall_us\": " << o.wall_us;
-    out << "}";
+    w.end_object();
   }
-  out << (outcomes.empty() ? "]\n" : "\n  ]\n");
-  out << "}\n";
+  w.end_array();
+  w.end_object();
+  out << "\n";
 }
 
 }  // namespace afdx::valid

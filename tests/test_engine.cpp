@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -53,36 +54,52 @@ void expect_identical(const std::vector<Microseconds>& a,
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<int> counts(1000, 0);
+  std::vector<std::atomic<int>> counts(1000);
   pool.parallel_for(counts.size(),
                     [&](std::size_t i, int) { ++counts[i]; });
-  for (std::size_t i = 0; i < counts.size(); ++i) EXPECT_EQ(counts[i], 1);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
+  }
   const auto tasks = pool.tasks_per_thread();
   ASSERT_EQ(tasks.size(), 4u);
   EXPECT_EQ(std::accumulate(tasks.begin(), tasks.end(), std::size_t{0}),
             counts.size());
 }
 
-TEST(ThreadPool, ShardingIsStatic) {
-  // The same (n, threads) pair must always yield the same per-thread task
-  // counts -- that is what makes runs reproducible.
-  ThreadPool a(3), b(3);
-  a.parallel_for(100, [](std::size_t, int) {});
-  b.parallel_for(100, [](std::size_t, int) {});
-  EXPECT_EQ(a.tasks_per_thread(), b.tasks_per_thread());
-}
-
 TEST(ThreadPool, RethrowsSmallestIndexFailure) {
   ThreadPool pool(4);
+  std::atomic<int> ran{0};
   try {
     pool.parallel_for(100, [&](std::size_t i, int) {
+      ++ran;
       if (i >= 10) throw Error("fail at " + std::to_string(i));
     });
     FAIL() << "expected an Error";
   } catch (const Error& e) {
-    // Worker 0 owns indices [0, 25) and fails first at 10; failures of
-    // later shards must not win.
+    // Every index still executes; the smallest failing one must win
+    // regardless of which worker (or thief) ran it.
     EXPECT_STREQ(e.what(), "fail at 10");
+  }
+  EXPECT_EQ(ran.load(), 100);
+}
+
+TEST(ThreadPool, FullWidthBatchRunsEveryIndexConcurrently) {
+  // n == thread count: each worker must claim its own index, so four
+  // long-lived bodies (the serve workers' queue loops) run side by side.
+  ThreadPool pool(4);
+  std::atomic<int> started{0};
+  std::vector<int> seen(4, 0);
+  pool.parallel_for(seen.size(), [&](std::size_t i, int) {
+    ++started;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (started.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    seen[i] = started.load();
+  });
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 4) << "index " << i;
   }
 }
 
@@ -404,7 +421,7 @@ TEST(PortCacheConcurrency, OptionDigestsArePinned) {
   AnalysisEngine eng(cfg, Options{1});
   const RunResult r = eng.run_resilient();
   EXPECT_EQ(r.nc_options_key, 17212760670189940997ull);
-  EXPECT_EQ(r.tj_options_key, 15933874346471170057ull);
+  EXPECT_EQ(r.tj_options_key, 589727492704079044ull);
 }
 
 TEST(Engine, PropagationLevelsRespectDependencies) {
@@ -746,36 +763,57 @@ TEST(Engine, MetricsStayFiniteOnEmptyConfig) {
 }
 
 TEST(ThreadPool, DynamicRunsEveryIndexExactlyOnce) {
+  // The chunk size and the per-worker blocks follow n, so sweep batch
+  // sizes around the thread count and the chunk boundaries: every index
+  // of every batch must run exactly once on a single reused pool.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  pool.parallel_for_dynamic(counts.size(),
-                            [&](std::size_t i, int) { ++counts[i]; });
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "index " << i;
+  std::size_t total = 0;
+  for (const std::size_t n : {1u, 3u, 4u, 5u, 31u, 32u, 33u, 63u, 64u, 65u,
+                              257u, 1001u}) {
+    std::vector<std::atomic<int>> counts(n);
+    pool.parallel_for(n, [&](std::size_t i, int) { ++counts[i]; });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(counts[i].load(), 1) << "n " << n << ", index " << i;
+    }
+    total += n;
   }
   const auto tasks = pool.tasks_per_thread();
+  ASSERT_EQ(tasks.size(), 4u);
   EXPECT_EQ(std::accumulate(tasks.begin(), tasks.end(), std::size_t{0}),
-            counts.size());
+            total);
 }
 
 TEST(ThreadPool, DynamicRethrowsSmallestIndexFailure) {
-  ThreadPool pool(4);
+  // As in DynamicStealsFromABlockedWorker, worker 0 parks inside index 0
+  // while worker 1 steals the rest of its block. The failing indices 5
+  // (stolen) and 15 (worker 1's own) both run; the smaller one must win.
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
   try {
-    pool.parallel_for_dynamic(100, [&](std::size_t i, int) {
-      if (i >= 10) throw Error("fail at " + std::to_string(i));
+    pool.parallel_for(20, [&](std::size_t i, int) {
+      if (i == 0) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (done.load() < 19 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        return;
+      }
+      ++done;
+      if (i == 5 || i == 15) throw Error("fail at " + std::to_string(i));
     });
     FAIL() << "expected an Error";
   } catch (const Error& e) {
-    // Unlike the static loop, every index still executes; the smallest
-    // failing one must win regardless of which worker (or thief) ran it.
-    EXPECT_STREQ(e.what(), "fail at 10");
+    EXPECT_STREQ(e.what(), "fail at 5");
   }
+  EXPECT_EQ(done.load(), 19);
 }
 
-TEST(ThreadPool, DynamicContainedCollectsSortedFailures) {
+TEST(ThreadPool, ContainedCollectsSortedFailures) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> counts(60);
-  const auto failures = pool.parallel_for_dynamic_contained(
+  const auto failures = pool.parallel_for_contained(
       counts.size(), [&](std::size_t i, int) {
         ++counts[i];
         if (i % 20 == 7) throw Error("boom " + std::to_string(i));
@@ -798,7 +836,7 @@ TEST(ThreadPool, DynamicStealsFromABlockedWorker) {
   ThreadPool pool(2, scope);
   const obs::Counter& steals = scope.counter("engine.pool.steals");
   std::atomic<int> done{0};
-  pool.parallel_for_dynamic(20, [&](std::size_t i, int) {
+  pool.parallel_for(20, [&](std::size_t i, int) {
     if (i == 0) {
       while (done.load() < 19) std::this_thread::yield();
     } else {
@@ -813,11 +851,10 @@ TEST(ThreadPool, DynamicSingleThreadRunsInline) {
   obs::Registry scope;
   ThreadPool pool(1, scope);
   std::vector<int> order;
-  pool.parallel_for_dynamic(10,
-                            [&](std::size_t i, int w) {
-                              EXPECT_EQ(w, 0);
-                              order.push_back(static_cast<int>(i));
-                            });
+  pool.parallel_for(10, [&](std::size_t i, int w) {
+    EXPECT_EQ(w, 0);
+    order.push_back(static_cast<int>(i));
+  });
   ASSERT_EQ(order.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
   EXPECT_EQ(scope.counter("engine.pool.steals").value(), 0u);
