@@ -43,15 +43,26 @@ void Table::print(std::ostream& out) const {
 }
 
 void Table::print_csv(std::ostream& out) const {
-  auto print_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ",";
-      out << row[c];
+  print_csv_row(out, headers_);
+  for (const auto& row : rows_) print_csv_row(out, row);
+}
+
+void print_csv_row(std::ostream& out, const std::vector<std::string>& cells) {
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    if (c) out << ',';
+    const std::string& cell = cells[c];
+    if (cell.find_first_of(",\"\r\n") == std::string::npos) {
+      out << cell;
+      continue;
     }
-    out << "\n";
-  };
-  print_row(headers_);
-  for (const auto& row : rows_) print_row(row);
+    out << '"';
+    for (const char ch : cell) {
+      if (ch == '"') out << '"';
+      out << ch;
+    }
+    out << '"';
+  }
+  out << '\n';
 }
 
 std::string fmt(double value, int decimals) {

@@ -20,8 +20,7 @@ class Table {
   /// Renders with a header rule and right-padded columns.
   void print(std::ostream& out) const;
 
-  /// Renders as CSV (comma-separated, no quoting -- cells must not contain
-  /// commas).
+  /// Renders as CSV, one print_csv_row per line.
   void print_csv(std::ostream& out) const;
 
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
@@ -30,6 +29,11 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Writes one CSV line (RFC 4180): a cell holding a comma, a double quote
+/// or a line break is quoted, with its quotes doubled; every other cell is
+/// written as is.
+void print_csv_row(std::ostream& out, const std::vector<std::string>& cells);
 
 /// Formats a double with the given number of decimals.
 [[nodiscard]] std::string fmt(double value, int decimals = 2);

@@ -58,16 +58,19 @@ const char* name(Kind kind) noexcept {
 
 namespace detail {
 
-Microseconds run_scalar(const Columns& cols, const Microseconds* candidates,
-                        std::size_t begin, std::size_t count,
-                        Microseconds consts, Microseconds envelope,
-                        Microseconds best, char* saturated) noexcept {
-  for (std::size_t ci = begin; ci < count; ++ci) {
+Outcome run_scalar(const Columns& cols, const Microseconds* candidates,
+                   std::size_t count, Microseconds consts, Microseconds w_max,
+                   Microseconds best) noexcept {
+  const Microseconds envelope = w_max + consts;
+  bool saturated[kLatchNodes] = {};
+  std::size_t ci = 0;
+  for (; ci < count; ++ci) {
     const Microseconds t = candidates[ci];
     if (envelope - t <= best) break;
     Microseconds w = frame_count(t, cols.own_a, cols.own_period) * cols.own_c;
     for (std::size_t idx = 0; idx < cols.nodes; ++idx) {
-      if (saturated[idx]) {
+      const bool latchable = idx < kLatchNodes;
+      if (latchable && saturated[idx]) {
         w += cols.node_cap[idx];
         continue;
       }
@@ -77,7 +80,7 @@ Microseconds run_scalar(const Columns& cols, const Microseconds* candidates,
         node_sum += frame_count(t, cols.a[s], cols.period[s]) * cols.c[s];
       }
       if (node_sum >= cols.node_cap[idx]) {
-        saturated[idx] = 1;
+        if (latchable) saturated[idx] = true;
         w += cols.node_cap[idx];
       } else {
         w += node_sum;
@@ -85,24 +88,22 @@ Microseconds run_scalar(const Columns& cols, const Microseconds* candidates,
     }
     best = std::max(best, w + consts - t);
   }
-  return best;
+  return Outcome{best, ci};
 }
 
 }  // namespace detail
 
-Microseconds run(Kind kind, const Columns& cols, const Microseconds* candidates,
-                 std::size_t count, Microseconds consts, Microseconds envelope,
-                 Microseconds best, char* saturated) noexcept {
+Outcome run(Kind kind, const Columns& cols, const Microseconds* candidates,
+            std::size_t count, Microseconds consts, Microseconds w_max,
+            Microseconds best) noexcept {
 #if defined(AFDX_SWEEP_AVX2)
   if (kind == Kind::kSimd && simd_available()) {
-    return detail::run_avx2(cols, candidates, count, consts, envelope, best,
-                            saturated);
+    return detail::run_avx2(cols, candidates, count, consts, w_max, best);
   }
 #else
   (void)kind;
 #endif
-  return detail::run_scalar(cols, candidates, 0, count, consts, envelope, best,
-                            saturated);
+  return detail::run_scalar(cols, candidates, count, consts, w_max, best);
 }
 
 }  // namespace afdx::trajectory::sweep

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
 
@@ -29,16 +28,6 @@ double frame_count(Microseconds t, Microseconds a, Microseconds period) {
   return std::floor(window / period + 1e-9) + 1.0;
 }
 
-/// splitmix64 finalizer for the generator-pair dedup probe below.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
 /// One interference term: a maximal run of consecutive shared nodes of an
 /// interfering flow along the study path.
 struct Segment {
@@ -50,34 +39,29 @@ struct Segment {
 }  // namespace
 
 // Reusable per-prefix scratch. All vectors keep their capacity across
-// prefixes; the vl_count-sized open-segment tables are validated by epoch
+// prefixes; the vl_count-sized open-segment table is validated by epoch
 // instead of being cleared (clearing would cost O(vl_count) per prefix,
 // prohibitive on 100k-VL configurations).
 struct Analyzer::ScratchFrame {
   std::vector<LinkId> sub;
+  std::vector<Slot> sub_slots;
   std::vector<Segment> segments;
   std::vector<std::vector<std::size_t>> node_first_met;
   // The SoA a / c / period columns themselves live on the analyzer's bump
   // arena (carved per prefix, rewound on exit); only the variable-length
   // candidate buffer stays a pooled vector here.
   std::vector<Microseconds> candidates;
-  /// Unique (period, a) generator pairs feeding the candidate sweep, and
-  /// the epoch-tagged probe table that deduplicates them (bit-pattern
-  /// equality; sorting the pairs per prefix profiled as the single
-  /// largest cost once the sweep itself was vectorized).
-  std::vector<std::pair<Microseconds, Microseconds>> gen_pairs;
-  struct GenSlot {
-    std::uint64_t period_bits = 0;
-    std::uint64_t a_bits = 0;
-    std::uint64_t epoch = 0;
+  /// Open segment per flow, indexed by VlId: index into `segments` and
+  /// last covered node. An entry is live only when its epoch matches the
+  /// frame's current one, so bumping the epoch invalidates the whole table
+  /// in O(1); epoch 0 is never current.
+  struct OpenSegment {
+    std::uint32_t seg = 0;
+    std::uint32_t last = 0;
+    std::uint32_t epoch = 0;
   };
-  std::vector<GenSlot> gen_table;
-  /// Open segment per flow, indexed by VlId; an entry is live only when
-  /// open_epoch[j] matches the frame's current epoch.
-  std::vector<std::size_t> open_seg;
-  std::vector<std::size_t> open_last;
-  std::vector<std::uint64_t> open_epoch;
-  std::uint64_t epoch = 0;
+  std::vector<OpenSegment> open;
+  std::uint32_t epoch = 0;
 };
 
 Analyzer::~Analyzer() = default;
@@ -92,6 +76,7 @@ Analyzer::Analyzer(const TrafficConfig& config, const Options& options)
                  "only (VL " + cfg_.vl(v).name +
                  " uses a different priority class)");
   }
+  build_flow_table();
 }
 
 void Analyzer::set_backlog_caps(std::vector<Microseconds> caps) {
@@ -130,43 +115,88 @@ std::vector<Microseconds> serialization_caps(const TrafficConfig& config,
   return caps;
 }
 
+void Analyzer::build_flow_table() {
+  const Network& net = cfg_.network();
+  link_offset_.assign(net.link_count() + 1, 0);
+  std::vector<Slot> vl_begin(cfg_.vl_count() + 1, 0);
+  for (LinkId l = 0; l < net.link_count(); ++l) {
+    const std::size_t end = link_offset_[l] + cfg_.vls_on_link(l).size();
+    AFDX_REQUIRE(end < kNoSlot,
+                 "trajectory: too many (VL, link) crossings to index");
+    link_offset_[l + 1] = static_cast<Slot>(end);
+    for (VlId j : cfg_.vls_on_link(l)) ++vl_begin[j + 1];
+  }
+  for (VlId j = 0; j < cfg_.vl_count(); ++j) vl_begin[j + 1] += vl_begin[j];
+
+  // The rows, and every VL's crossings as (link, slot) ascending by link:
+  // a VL crosses a handful of links, so its predecessor slots are found in
+  // that short list instead of in the long per-link lists.
+  flows_.resize(link_offset_.back());
+  std::vector<std::pair<LinkId, Slot>> by_vl(link_offset_.back());
+  std::vector<Slot> cursor(vl_begin.begin(), vl_begin.end() - 1);
+  Slot s = 0;
+  for (LinkId l = 0; l < net.link_count(); ++l) {
+    for (VlId j : cfg_.vls_on_link(l)) {
+      const VirtualLink& v = cfg_.vl(j);
+      flows_[s] = FlowAtLink{j,     kInvalidLink, kNoSlot,
+                             v.max_transmission_time(net.link(l).rate),
+                             v.bag, v.max_release_jitter};
+      by_vl[cursor[j]++] = {l, s++};
+    }
+  }
+  // Predecessors: consecutive links of the VL's paths, the relation
+  // VlRoute::predecessor is built from.
+  for (VlId j = 0; j < cfg_.vl_count(); ++j) {
+    const auto slot_in = [&](LinkId l) {
+      return std::lower_bound(by_vl.begin() + vl_begin[j],
+                              by_vl.begin() + vl_begin[j + 1],
+                              std::pair<LinkId, Slot>{l, 0})
+          ->second;
+    };
+    for (const std::vector<LinkId>& path : cfg_.route(j).paths()) {
+      for (std::size_t k = 1; k < path.size(); ++k) {
+        FlowAtLink& f = flows_[slot_in(path[k])];
+        f.pred = path[k - 1];
+        f.pred_slot = slot_in(path[k - 1]);
+      }
+    }
+  }
+  prefix_bound_ = std::make_unique_for_overwrite<Microseconds[]>(s);
+  min_arrival_ = std::make_unique_for_overwrite<Microseconds[]>(s);
+  slot_state_ = std::make_unique<std::uint8_t[]>(s);
+}
+
+Analyzer::Slot Analyzer::slot_of(VlId vl, LinkId link) const {
+  AFDX_REQUIRE(link < cfg_.network().link_count(),
+               "trajectory: link id out of range");
+  const std::vector<VlId>& crossing = cfg_.vls_on_link(link);
+  const auto it = std::lower_bound(crossing.begin(), crossing.end(), vl);
+  AFDX_REQUIRE(it != crossing.end() && *it == vl,
+               "trajectory: VL does not cross link");
+  return link_offset_[link] + static_cast<Slot>(it - crossing.begin());
+}
+
 Microseconds Analyzer::min_arrival_at(VlId vl, LinkId link) const {
-  const std::uint64_t k = key(vl, link);
-  if (const Microseconds* hit = min_arrival_memo_.find(k)) return *hit;
-  const VlRoute& route = cfg_.route(vl);
-  AFDX_REQUIRE(route.crosses(link), "min_arrival_at: VL does not cross link");
+  return min_arrival_at_slot(slot_of(vl, link), vl, link);
+}
+
+Microseconds Analyzer::min_arrival_at_slot(Slot slot, VlId vl,
+                                           LinkId link) const {
+  if ((slot_state_[slot] & kMinArrival) != 0) return min_arrival_[slot];
   // Walk the unique tree prefix backwards: each earlier node adds its
   // (smallest-frame) transmission time, each node after the first adds its
   // technological latency.
   Microseconds acc = 0.0;
   LinkId cur = link;
-  for (LinkId pred = route.predecessor(cur); pred != kInvalidLink;
-       pred = route.predecessor(cur)) {
+  for (Slot s = slot; flows_[s].pred != kInvalidLink; s = flows_[s].pred_slot) {
+    const LinkId pred = flows_[s].pred;
     acc += cfg_.vl(vl).min_transmission_time(cfg_.network().link(pred).rate);
     acc += cfg_.network().link(cur).latency;
     cur = pred;
   }
-  min_arrival_memo_.emplace(k, acc);
+  min_arrival_[slot] = acc;
+  slot_state_[slot] |= kMinArrival;
   return acc;
-}
-
-const std::vector<std::vector<Analyzer::FlowAtLink>>& Analyzer::flow_table() {
-  if (!flows_.has_value()) {
-    const Network& net = cfg_.network();
-    flows_.emplace(net.link_count());
-    for (LinkId l = 0; l < net.link_count(); ++l) {
-      const std::vector<VlId>& crossing = cfg_.vls_on_link(l);
-      std::vector<FlowAtLink>& out = (*flows_)[l];
-      out.reserve(crossing.size());
-      for (VlId j : crossing) {
-        const VirtualLink& v = cfg_.vl(j);
-        out.push_back(FlowAtLink{j, cfg_.route(j).predecessor(l),
-                                 v.max_transmission_time(net.link(l).rate),
-                                 v.bag, v.max_release_jitter});
-      }
-    }
-  }
-  return *flows_;
 }
 
 Microseconds Analyzer::max_arrival_at(VlId vl, LinkId link) {
@@ -178,50 +208,56 @@ Microseconds Analyzer::max_arrival_at(VlId vl, LinkId link) {
 }
 
 Microseconds Analyzer::bound_to_link(VlId vl, LinkId link) {
-  const std::uint64_t k = key(vl, link);
+  return bound_at(slot_of(vl, link), vl, link);
+}
+
+Microseconds Analyzer::bound_at(Slot slot, VlId vl, LinkId link) {
   ++counters_.lookups;
-  if (const Microseconds* hit = memo_.find(k)) {
+  std::uint8_t& state = slot_state_[slot];
+  if ((state & kPrefixMask) == kDone) {
     ++counters_.local_hits;
-    return *hit;
+    return prefix_bound_[slot];
   }
   if (shared_ != nullptr) {
     if (const auto cached = shared_->lookup(vl, link); cached.has_value()) {
       ++counters_.shared_hits;
-      memo_.emplace(k, *cached);
+      prefix_bound_[slot] = *cached;
+      state = (state & ~kPrefixMask) | kDone;
       return *cached;
     }
   }
-  AFDX_REQUIRE(in_progress_.insert(k).second,
+  AFDX_REQUIRE((state & kPrefixMask) != kInProgress,
                "trajectory: cyclic prefix dependency involving VL " +
                    cfg_.vl(vl).name +
                    " (the trajectory approach requires a feed-forward "
                    "configuration)");
-  // Erase the marker on every exit path. compute_prefix throws on
+  state = (state & ~kPrefixMask) | kInProgress;
+  // Clear the marker on every exit path. compute_prefix throws on
   // divergence (unstable path utilization), and analyzer instances are
   // reused across paths by the engine and the ladder; a leaked marker
-  // would make every later prefix that reaches (vl, link) falsely fail
+  // would make every later prefix that reaches this slot falsely fail
   // with the cyclic-dependency error above.
-  struct EraseGuard {
-    std::unordered_set<std::uint64_t>& set;
-    std::uint64_t key;
-    ~EraseGuard() { set.erase(key); }
-  } guard{in_progress_, k};
-  const Microseconds bound = compute_prefix(vl, link);
-  memo_.emplace(k, bound);
+  struct ClearGuard {
+    std::uint8_t& state;
+    ~ClearGuard() {
+      if ((state & kPrefixMask) == kInProgress) state &= ~kPrefixMask;
+    }
+  } guard{state};
+  const Microseconds bound = compute_prefix(slot, vl, link);
+  prefix_bound_[slot] = bound;
+  state = (state & ~kPrefixMask) | kDone;
   if (shared_ != nullptr) shared_->store(vl, link, bound);
   return bound;
 }
 
-Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
+Microseconds Analyzer::compute_prefix(Slot slot, VlId i, LinkId last) {
   AFDX_TRACE_SPAN("trajectory.prefix", "trajectory");
   static obs::Counter& prefixes =
       obs::registry().counter("trajectory.prefixes");
   prefixes.add();
   const Network& net = cfg_.network();
-  const VlRoute& route_i = cfg_.route(i);
-  AFDX_REQUIRE(route_i.crosses(last), "compute_prefix: VL does not cross link");
 
-  // One pooled scratch frame per live recursion depth. bound_to_link
+  // One pooled scratch frame per live recursion depth. bound_at
   // re-enters compute_prefix while this frame is mid-construction, so the
   // scratch cannot be flat instance state -- but pooling frames by depth
   // still removes the per-prefix reallocation of every vector below.
@@ -245,23 +281,22 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
     ~ArenaGuard() { arena.rewind(mark); }
   } arena_guard{arena_, arena_.mark()};
 
-  // The unique tree prefix l_0 .. l_{m-1} ending at `last`.
+  // The unique tree prefix l_0 .. l_{m-1} ending at `last`, and its slots.
   std::vector<LinkId>& sub = fr.sub;
+  std::vector<Slot>& sub_slots = fr.sub_slots;
   sub.clear();
-  for (LinkId l = last; l != kInvalidLink; l = route_i.predecessor(l)) {
-    sub.push_back(l);
+  sub_slots.clear();
+  for (Slot s = slot; s != kNoSlot; s = flows_[s].pred_slot) {
+    sub.push_back(sub.empty() ? last : flows_[sub_slots.back()].pred);
+    sub_slots.push_back(s);
   }
   std::reverse(sub.begin(), sub.end());
+  std::reverse(sub_slots.begin(), sub_slots.end());
   const std::size_t m = sub.size();
 
   auto c_of = [&](VlId j, LinkId l) {
     return cfg_.vl(j).max_transmission_time(net.link(l).rate);
   };
-
-  // Per-link precomputed flow rows (predecessor, C_j, BAG, jitter) -- the
-  // segment-construction loop below is the analyzer's second-hottest spot
-  // after response(), and route/hash lookups dominated it.
-  const std::vector<std::vector<FlowAtLink>>& flows = flow_table();
 
   // --- Interference segments -------------------------------------------------
   // A flow j contributes one term per maximal run of consecutive shared
@@ -270,16 +305,13 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   std::vector<Segment>& segments = fr.segments;
   segments.clear();
   std::size_t own_segment = 0;  // index of i's own (first) segment
-  // Open segment per flow, indexed by VlId: index into `segments`, and last
-  // covered node. An entry is live only when its epoch matches the frame's
-  // current one -- bumping the epoch invalidates the whole table in O(1).
-  if (fr.open_seg.size() != cfg_.vl_count()) {
-    fr.open_seg.assign(cfg_.vl_count(), 0);
-    fr.open_last.assign(cfg_.vl_count(), 0);
-    fr.open_epoch.assign(cfg_.vl_count(), 0);
+  // Open segment per flow (see ScratchFrame::OpenSegment); on the rare
+  // epoch wrap-around the table is cleared once.
+  if (fr.open.size() != cfg_.vl_count() || fr.epoch == ~std::uint32_t{0}) {
+    fr.open.assign(cfg_.vl_count(), ScratchFrame::OpenSegment{});
     fr.epoch = 0;
   }
-  const std::uint64_t epoch = ++fr.epoch;
+  const std::uint32_t epoch = ++fr.epoch;
 
   // Segments grouped by their starting node (for the FIFO backlog caps) and
   // by (starting node, input link) (for the simultaneity surcharge of the
@@ -304,15 +336,17 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
     // unchanged) and reused for the rest of the node's flows.
     bool jitter_i_cached = false;
     Microseconds jitter_i_node = 0.0;
-    for (const FlowAtLink& f : flows[lk]) {
+    for (Slot s = link_offset_[lk]; s < link_offset_[lk + 1]; ++s) {
+      const FlowAtLink& f = flows_[s];
       const VlId j = f.id;
       const LinkId pred_j = f.pred;
-      if (fr.open_epoch[j] == epoch && idx > 0 && fr.open_last[j] == idx - 1 &&
+      ScratchFrame::OpenSegment& open = fr.open[j];
+      if (open.epoch == epoch && idx > 0 && open.last == idx - 1 &&
           pred_j == sub[idx - 1]) {
         // j keeps travelling along i's path: extend its segment.
-        Segment& seg = segments[fr.open_seg[j]];
+        Segment& seg = segments[open.seg];
         seg.c = std::max(seg.c, f.c);
-        fr.open_last[j] = idx;
+        open.last = static_cast<std::uint32_t>(idx);
         continue;
       }
       // New segment starting at node lk. The arrival window of j at this
@@ -322,8 +356,8 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
           f.release_jitter +
           ((pred_j == kInvalidLink)
                ? 0.0
-               : bound_to_link(j, pred_j) + latency_lk);
-      const Microseconds jitter_j = max_arr_j - min_arrival_at(j, lk);
+               : bound_at(f.pred_slot, j, pred_j) + latency_lk);
+      const Microseconds jitter_j = max_arr_j - min_arrival_at_slot(s, j, lk);
       Microseconds jitter_i = 0.0;
       if (j != i || idx > 0) {
         // The study packet's own release instant is the time origin, so
@@ -332,8 +366,10 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
         if (!jitter_i_cached) {
           const Microseconds max_arr_i =
               (idx == 0) ? 0.0
-                         : bound_to_link(i, sub[idx - 1]) + latency_lk;
-          jitter_i_node = max_arr_i - min_arrival_at(i, lk);
+                         : bound_at(sub_slots[idx - 1], i, sub[idx - 1]) +
+                               latency_lk;
+          jitter_i_node =
+              max_arr_i - min_arrival_at_slot(sub_slots[idx], i, lk);
           jitter_i_cached = true;
         }
         jitter_i = jitter_i_node;
@@ -343,9 +379,11 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
       seg.c = f.c;
       seg.period = f.period;
       segments.push_back(seg);
-      fr.open_seg[j] = segments.size() - 1;
-      fr.open_last[j] = idx;
-      fr.open_epoch[j] = epoch;
+      // `open` survived the bound_at recursion above: deeper prefixes use
+      // their own frames.
+      open = ScratchFrame::OpenSegment{
+          static_cast<std::uint32_t>(segments.size() - 1),
+          static_cast<std::uint32_t>(idx), epoch};
 
       if (j == i && idx == 0) {
         own_segment = segments.size() - 1;
@@ -370,7 +408,8 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   for (std::size_t idx = 1; idx < m; ++idx) {
     const LinkId lk = sub[idx];
     Microseconds biggest = 0.0;
-    for (const FlowAtLink& f : flows[lk]) {
+    for (Slot s = link_offset_[lk]; s < link_offset_[lk + 1]; ++s) {
+      const FlowAtLink& f = flows_[s];
       // The boundary packet closes the busy period of node idx-1 and opens
       // the one of node idx, so it physically travels that transition;
       // only flows routed through it qualify (always at least flow i).
@@ -419,7 +458,6 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
       arena_.alloc_array<Microseconds>(seg_total);
   std::size_t* const node_begin = arena_.alloc_array<std::size_t>(m + 1);
   Microseconds* const node_cap = arena_.alloc_array<Microseconds>(m);
-  char* const saturated = arena_.alloc_array<char>(m);
   std::size_t cursor = 0;
   for (std::size_t idx = 0; idx < m; ++idx) {
     node_begin[idx] = cursor;
@@ -477,14 +515,11 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   static obs::Histogram& cand_hist =
       obs::registry().histogram("trajectory.candidates_per_prefix");
 
-  // Two exact prunings of the ascending sweep, both resting on
-  // frame_count being nondecreasing in t (floating-point rounding is
-  // monotone, so the property survives fl arithmetic):
-  //  - once a node's sum reaches its cap it stays capped, and min() would
-  //    return exactly node_cap from then on -- stop re-summing the node;
-  //  - the workload w(t) + consts never exceeds its value at the largest
-  //    admissible t, so when that envelope minus t can no longer beat
-  //    `best`, neither can any later candidate.
+  // The workload W(t) is nondecreasing in t (frame_count is, and
+  // floating-point rounding is monotone, so the property survives fl
+  // arithmetic). Its value w_max at the largest admissible t therefore
+  // bounds W at every candidate: the sweep's exact prunings start from it
+  // (sweep.hpp), and the generation cut below uses envelope - t.
   const Microseconds t_max = busy + kEpsilon;
   Microseconds w_max = frame_count(t_max, own.a, own.period) * own.c;
   for (std::size_t idx = 0; idx < m; ++idx) {
@@ -499,46 +534,17 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   // --- Maximize over the candidate generation instants ------------------------
   // R(t) decreases with slope -1 between frame-count jumps (the caps are
   // constants), so the max is attained at t = 0 or at a jump. Segments with
-  // equal (BAG, A) generate bitwise-equal jump instants, so deduplicating
-  // the generators drops repeat evaluations without changing the maximum
-  // (max over the same value set is order-free). The dedup is an
-  // epoch-tagged bit-pattern probe table: sorting the pairs per prefix
-  // profiled as the top cost once the sweep itself was vectorized, and the
-  // candidates are globally sorted below anyway.
-  std::vector<std::pair<Microseconds, Microseconds>>& gen_pairs = fr.gen_pairs;
-  gen_pairs.clear();
-  std::size_t table_size = 64;
-  while (table_size < 2 * segments.size()) table_size *= 2;
-  if (fr.gen_table.size() < table_size) {
-    fr.gen_table.assign(table_size, ScratchFrame::GenSlot{});
-  }
-  const std::size_t table_mask = fr.gen_table.size() - 1;
-  for (const Segment& s : segments) {
-    std::uint64_t pb = 0;
-    std::uint64_t ab = 0;
-    std::memcpy(&pb, &s.period, sizeof(pb));
-    std::memcpy(&ab, &s.a, sizeof(ab));
-    std::size_t h = static_cast<std::size_t>(mix64(pb ^ mix64(ab))) & table_mask;
-    while (true) {
-      ScratchFrame::GenSlot& slot = fr.gen_table[h];
-      if (slot.epoch != epoch) {
-        slot = ScratchFrame::GenSlot{pb, ab, epoch};
-        gen_pairs.emplace_back(s.period, s.a);
-        break;
-      }
-      if (slot.period_bits == pb && slot.a_bits == ab) break;  // duplicate
-      h = (h + 1) & table_mask;
-    }
-  }
+  // equal (BAG, A) generate bitwise-equal jump instants, which the sort +
+  // unique below removes (max over the same value set is order-free).
   // Generation cut: `best` is nondecreasing from response(0), so any
   // candidate with envelope - t <= response(0) is provably pruned by the
-  // sweep's envelope check -- skip materializing it (each generator's
+  // sweep's envelope check -- skip materializing it (each segment's
   // instants ascend with k, so the cut is a plain break).
   std::vector<Microseconds>& candidates = fr.candidates;
   candidates.clear();
-  for (const auto& [period, a] : gen_pairs) {
+  for (const Segment& s : segments) {
     for (int k = 1;; ++k) {
-      const Microseconds t = k * period - a;
+      const Microseconds t = k * s.period - s.a;
       if (t > busy + kEpsilon || envelope - t <= response_at_zero) break;
       if (t >= 0.0) candidates.push_back(t);
     }
@@ -546,24 +552,27 @@ Microseconds Analyzer::compute_prefix(VlId i, LinkId last) {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
-  Microseconds best = response_at_zero;
 
-  // The sweep itself runs in the dispatched kernel (sweep.hpp): the AVX2
-  // variant batches 4 candidates per lane-parallel walk of the columns and
-  // is bit-identical to the scalar fallback by construction.
+  // The sweep itself runs in the dispatched kernel (sweep.hpp): the scalar
+  // ascending loop or the AVX2 branch-and-bound, bit-identical by
+  // construction.
   cand_hist.observe(candidates.size());
   static obs::Counter& simd_sweeps =
       obs::registry().counter("trajectory.sweep.simd");
   static obs::Counter& scalar_sweeps =
       obs::registry().counter("trajectory.sweep.scalar");
+  static obs::Counter& evaluations =
+      obs::registry().counter("trajectory.sweep.evaluations");
   const sweep::Kind kind = sweep::active();
   (kind == sweep::Kind::kSimd ? simd_sweeps : scalar_sweeps).add();
-  std::memset(saturated, 0, m);
   const sweep::Columns cols{flat_a,   flat_c, flat_period, node_begin,
                             node_cap, m,      own.a,       own.c,
                             own.period};
-  best = sweep::run(kind, cols, candidates.data(), candidates.size(), consts,
-                    envelope, best, saturated);
+  const sweep::Outcome swept =
+      sweep::run(kind, cols, candidates.data(), candidates.size(), consts,
+                 w_max, response_at_zero);
+  evaluations.add(swept.evaluations);
+  const Microseconds best = swept.best;
 
   // The bound can never beat the jitter-free store-and-forward traversal.
   Microseconds floor_bound = c_last;

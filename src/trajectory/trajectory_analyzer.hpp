@@ -37,18 +37,17 @@
 // the serialization surcharge sum_g (sum_{j in g} C_j - max_{j in g} C_j).
 //
 // The jitter of a flow at a node is obtained by running the analysis
-// recursively on the flow's path prefix (memoized per (VL, link); a cyclic
-// dependency between prefixes is reported as an error -- industrial AFDX
-// configurations are feed-forward).
+// recursively on the flow's path prefix (memoized per (VL, link) crossing;
+// a cyclic dependency between prefixes is reported as an error --
+// industrial AFDX configurations are feed-forward).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/arena.hpp"
-#include "common/flat_map.hpp"
 #include "vl/traffic_config.hpp"
 
 namespace afdx::netcalc {
@@ -127,48 +126,71 @@ class Analyzer {
   }
 
  private:
-  /// Per-link precomputation of the crossing flows: predecessor link,
-  /// largest-frame transmission time at the link's rate, BAG and release
-  /// jitter, in vls_on_link order. Built once per instance; removes the
-  /// per-prefix route/hash lookups from the segment-construction loop.
+  /// Dense index of a (VL, link) crossing: offset of the link's rows in
+  /// the flow table plus the VL's position in vls_on_link(link).
+  using Slot = std::uint32_t;
+  static constexpr Slot kNoSlot = ~Slot{0};
+
+  /// One crossing of the flow table: the crossing VL, its predecessor link
+  /// and the slot of (VL, predecessor), largest-frame transmission time at
+  /// the link's rate, BAG and release jitter. A crossing's own slot is its
+  /// index in the table. Built once per instance; removes the per-prefix
+  /// route and memo lookups from the segment-construction loop.
   struct FlowAtLink {
     VlId id = kInvalidVl;
     LinkId pred = kInvalidLink;
+    Slot pred_slot = kNoSlot;
     Microseconds c = 0.0;
     Microseconds period = 0.0;
     Microseconds release_jitter = 0.0;
   };
 
-  /// Reusable per-prefix scratch (segment lists, SoA flattening, candidate
-  /// buffer, epoch-validated open-segment tables). compute_prefix re-enters
-  /// itself through bound_to_link while a frame is mid-construction, so the
-  /// scratch is a pool indexed by recursion depth, not flat instance state.
+  /// Memo state of a slot: the prefix bound's progress in the low bits,
+  /// and kMinArrival once min_arrival_ holds the slot's value.
+  enum SlotState : std::uint8_t {
+    kEmpty = 0,
+    kInProgress = 1,
+    kDone = 2,
+    kPrefixMask = 3,
+    kMinArrival = 4,
+  };
+
+  /// Reusable per-prefix scratch (segment lists, candidate buffer,
+  /// epoch-validated open-segment table). compute_prefix re-enters itself
+  /// through bound_at while a frame is mid-construction, so the scratch is
+  /// a pool indexed by recursion depth, not flat instance state.
   struct ScratchFrame;
 
-  Microseconds compute_prefix(VlId vl, LinkId last);
-  const std::vector<std::vector<FlowAtLink>>& flow_table();
+  /// Builds the flow table and the per-slot memo arrays (constructor).
+  void build_flow_table();
+  /// The slot of (vl, link); throws when the VL does not cross the link.
+  [[nodiscard]] Slot slot_of(VlId vl, LinkId link) const;
+  Microseconds bound_at(Slot slot, VlId vl, LinkId link);
+  [[nodiscard]] Microseconds min_arrival_at_slot(Slot slot, VlId vl,
+                                                 LinkId link) const;
+  Microseconds compute_prefix(Slot slot, VlId vl, LinkId last);
 
   /// The serialization caps, computed lazily from a serial default-options
   /// WCNC run unless set_backlog_caps injected them.
   const std::vector<Microseconds>& backlog_caps();
 
-  static std::uint64_t key(VlId vl, LinkId link) {
-    return (static_cast<std::uint64_t>(vl) << 32) | link;
-  }
-
   const TrafficConfig& cfg_;
   Options opt_;
-  /// Prefix-bound memo, (vl, link) -> bound. Open-addressing flat map:
-  /// the segment-construction loop performs one lookup per interference
-  /// segment, and node-based std::unordered_map buckets made that the
-  /// largest single profile entry on 10k-VL networks.
-  common::FlatMap<Microseconds> memo_;
-  std::unordered_set<std::uint64_t> in_progress_;
+  /// The flow table, every link's crossings in vls_on_link order (so
+  /// ascending by VlId), and link l's rows start at link_offset_[l].
+  std::vector<FlowAtLink> flows_;
+  std::vector<Slot> link_offset_;
+  /// Per-slot memos, indexed by slot: the prefix bound (valid once the
+  /// slot's state is kDone) and the best-case arrival in the link's queue
+  /// (valid under kMinArrival; filled lazily with the exact chain-walk
+  /// sum, so memoization cannot perturb a bound). The two value arrays
+  /// are left uninitialized, so only the pages of slots this instance
+  /// touches become resident; the state bytes start at kEmpty. The const
+  /// min_arrival_at fills its memo through these pointers.
+  std::unique_ptr<Microseconds[]> prefix_bound_;
+  std::unique_ptr<Microseconds[]> min_arrival_;
+  std::unique_ptr<std::uint8_t[]> slot_state_;
   std::optional<std::vector<Microseconds>> backlog_caps_;
-  std::optional<std::vector<std::vector<FlowAtLink>>> flows_;
-  /// Memoized min_arrival_at values (each first computed with the exact
-  /// chain-walk summation, so memoization cannot perturb a bound).
-  mutable common::FlatMap<Microseconds> min_arrival_memo_;
   PrefixCache* shared_ = nullptr;
   /// Scratch pool, one frame per live recursion depth (frames are created
   /// on first use and keep their capacity across prefixes).

@@ -1,5 +1,5 @@
-// Unit tests for units, error handling, the RNG wrapper, the bump arena
-// allocator and the open-addressing flat map.
+// Unit tests for units, error handling, the RNG wrapper and the bump arena
+// allocator.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 
 #include "common/arena.hpp"
 #include "common/error.hpp"
-#include "common/flat_map.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 
@@ -184,49 +183,6 @@ TEST(Arena, AllocatorServesFromActiveArenaWithHeapFallback) {
     heap_backed.shrink_to_fit();
   }
   EXPECT_EQ(arena.bytes_in_use(), 0u);
-}
-
-TEST(FlatMap, InsertFindGrowClear) {
-  common::FlatMap<double> map;
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(12345), nullptr);
-
-  // Enough keys to force several growth rounds past the 1024-slot start.
-  constexpr std::uint64_t kCount = 5000;
-  for (std::uint64_t k = 0; k < kCount; ++k) {
-    map.emplace(k * 1000003ull, static_cast<double>(k) * 0.5);
-  }
-  EXPECT_EQ(map.size(), kCount);
-  for (std::uint64_t k = 0; k < kCount; ++k) {
-    const double* hit = map.find(k * 1000003ull);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_DOUBLE_EQ(*hit, static_cast<double>(k) * 0.5);
-  }
-  EXPECT_EQ(map.find(999), nullptr);
-
-  map.clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(0), nullptr);
-  map.emplace(7, 1.25);
-  const double* hit = map.find(7);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(*hit, 1.25);
-}
-
-TEST(FlatMap, TrajectoryShapedKeys) {
-  // The analyzer keys are (vl << 32) | link -- never all-ones, clustered
-  // in both halves. The map must keep them distinct.
-  common::FlatMap<double> map;
-  for (std::uint64_t vl = 0; vl < 64; ++vl) {
-    for (std::uint64_t link = 0; link < 64; ++link) {
-      map.emplace((vl << 32) | link, static_cast<double>(vl * 64 + link));
-    }
-  }
-  EXPECT_EQ(map.size(), 64u * 64u);
-  const double* hit = map.find((63ull << 32) | 7ull);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(*hit, 63.0 * 64.0 + 7.0);
-  EXPECT_EQ(map.find((64ull << 32) | 7ull), nullptr);
 }
 
 }  // namespace

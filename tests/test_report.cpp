@@ -42,6 +42,16 @@ TEST(Table, CsvOutput) {
   EXPECT_EQ(os.str(), "x,y\n1,2\n3,4\n");
 }
 
+TEST(Table, CsvQuotesCellsWithSeparatorsOrQuotes) {
+  Table t({"name", "status"});
+  t.add_row({"v1", "ok (a, b)"});
+  t.add_row({"say \"hi\"", "line\nbreak"});
+  std::ostringstream os;
+  t.print_csv(os);
+  EXPECT_EQ(os.str(),
+            "name,status\nv1,\"ok (a, b)\"\n\"say \"\"hi\"\"\",\"line\nbreak\"\n");
+}
+
 TEST(Table, FmtFormatsDecimals) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(10.0, 0), "10");

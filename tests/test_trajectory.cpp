@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "config/samples.hpp"
 #include "gen/industrial.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
@@ -354,6 +361,130 @@ TEST(TrajectorySweep, SimdMatchesScalarBitwiseOnFuzzedGrid) {
       }
     }
   }
+}
+
+
+// W(t) of sweep.hpp, written out independently of both kernels.
+Microseconds workload(const sweep::Columns& cols, Microseconds t) {
+  const auto frames = [&](Microseconds a, Microseconds period) {
+    const double window = t + a;
+    if (window < -kEpsilon) return 0.0;
+    return std::floor(window / period + 1e-9) + 1.0;
+  };
+  Microseconds w = frames(cols.own_a, cols.own_period) * cols.own_c;
+  for (std::size_t idx = 0; idx < cols.nodes; ++idx) {
+    Microseconds node_sum = 0.0;
+    for (std::size_t s = cols.node_begin[idx]; s < cols.node_begin[idx + 1];
+         ++s) {
+      node_sum += frames(cols.a[s], cols.period[s]) * cols.c[s];
+    }
+    w += node_sum >= cols.node_cap[idx] ? cols.node_cap[idx] : node_sum;
+  }
+  return w;
+}
+
+// The branch-and-bound kernel against the ascending scalar loop on random
+// columns, bitwise, and the scalar loop against the unpruned maximum over
+// every candidate. The draws cover 1 to 70 nodes (past the kernels' fixed
+// latch buffer), negative windows, caps that a late candidate saturates
+// while earlier ones stay below them, duplicate candidate values and 0 to
+// 200 candidates.
+TEST(TrajectorySweep, BranchAndBoundMatchesScalarOnRandomColumns) {
+  if (!sweep::simd_available()) GTEST_SKIP() << "AVX2 not available";
+  Rng rng(20240607);
+  const double periods[] = {125.0, 500.0, 1000.0, 2000.0, 4000.0, 32000.0};
+  const auto draw_period = [&] {
+    return rng.bernoulli(0.7) ? periods[rng.uniform_int(0, 5)]
+                              : rng.uniform_real(50.0, 8000.0);
+  };
+  std::size_t total = 0;
+  std::size_t evaluations[2] = {0, 0};
+  for (int trial = 0; trial < 4000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // Candidates: ascending, with runs of duplicates.
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 200));
+    const double horizon = rng.uniform_real(100.0, 20000.0);
+    std::vector<Microseconds> candidates;
+    for (std::size_t k = 0; k < count; ++k) {
+      candidates.push_back(!candidates.empty() && rng.bernoulli(0.15)
+                               ? candidates.back()
+                               : rng.uniform_real(0.0, horizon));
+    }
+    std::sort(candidates.begin(), candidates.end());
+
+    const auto nodes = static_cast<std::size_t>(rng.uniform_int(1, 70));
+    std::vector<Microseconds> a;
+    std::vector<Microseconds> c;
+    std::vector<Microseconds> period;
+    std::vector<std::size_t> node_begin{0};
+    std::vector<Microseconds> node_cap(
+        nodes, std::numeric_limits<Microseconds>::infinity());
+    for (std::size_t idx = 0; idx < nodes; ++idx) {
+      const auto segs = rng.uniform_int(0, 6);
+      for (std::int64_t s = 0; s < segs; ++s) {
+        a.push_back(rng.uniform_real(-0.5 * horizon, horizon));
+        c.push_back(rng.uniform_real(1.0, 120.0));
+        period.push_back(draw_period());
+      }
+      node_begin.push_back(a.size());
+    }
+    sweep::Columns cols{a.data(),         c.data(),    period.data(),
+                        node_begin.data(), node_cap.data(), nodes,
+                        rng.uniform_real(-100.0, 500.0),
+                        rng.uniform_real(1.0, 120.0), draw_period()};
+    // Caps: a node's own sum at a random candidate, so the later
+    // candidates saturate (ties included) and the earlier ones may not; or
+    // a random level; or none.
+    for (std::size_t idx = 0; idx < nodes; ++idx) {
+      const double roll = rng.uniform_real(0.0, 1.0);
+      if (roll < 0.4 && !candidates.empty()) {
+        const Microseconds at = candidates[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(count) - 1))];
+        sweep::Columns one = cols;
+        one.node_begin = node_begin.data() + idx;
+        one.node_cap = node_cap.data() + idx;
+        one.nodes = 1;
+        one.own_c = 0.0;  // node_cap[idx] is still +inf here
+        node_cap[idx] = workload(one, at);
+      } else if (roll < 0.6) {
+        node_cap[idx] = rng.uniform_real(0.0, 600.0);
+      }
+    }
+    const Microseconds consts = rng.uniform_real(-200.0, 800.0);
+    const Microseconds t_max =
+        (candidates.empty() ? 0.0 : candidates.back()) +
+        (rng.bernoulli(0.5) ? 0.0 : rng.uniform_real(0.0, 500.0));
+    const Microseconds w_max = workload(cols, t_max);
+    Microseconds best = workload(cols, 0.0) + consts;
+    if (rng.bernoulli(0.2)) best = rng.uniform_real(-1000.0, 3000.0);
+
+    Microseconds expected = best;
+    for (Microseconds t : candidates) {
+      expected = std::max(expected, workload(cols, t) + consts - t);
+    }
+    const sweep::Outcome scalar =
+        sweep::run(sweep::Kind::kScalar, cols, candidates.data(), count,
+                   consts, w_max, best);
+    const sweep::Outcome simd = sweep::run(
+        sweep::Kind::kSimd, cols, candidates.data(), count, consts, w_max,
+        best);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(scalar.best),
+              std::bit_cast<std::uint64_t>(expected))
+        << scalar.best << " vs " << expected;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(simd.best),
+              std::bit_cast<std::uint64_t>(scalar.best))
+        << simd.best << " vs " << scalar.best;
+    ASSERT_LE(scalar.evaluations, count);
+    ASSERT_LE(simd.evaluations, count);
+    total += count;
+    evaluations[0] += scalar.evaluations;
+    evaluations[1] += simd.evaluations;
+  }
+  // The draws reach the pruning: neither kernel evaluates everything.
+  EXPECT_GT(evaluations[0], 0u);
+  EXPECT_LT(evaluations[0], total);
+  EXPECT_GT(evaluations[1], 0u);
+  EXPECT_LT(evaluations[1], total);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // workers the schedule decides how many prefixes the shards recompute)
 // and compares the deltas of four root-registry counters for exact
 // equality: WCNC ports computed, trajectory prefixes computed, and the
-// segment and candidate sums over those prefixes. A change that moves any
+// segment and candidate sums over those prefixes. The cold runs also pin
+// trajectory.sweep.evaluations, the candidates the sweep evaluated
+// exactly, under each sweep kernel forced in turn. A change that moves any
 // of them re-pins the table and says why in its description; a cost
 // regression that leaves every bound unchanged (a lost pruning rule, a
 // cache that stopped hitting) fails here.
@@ -15,12 +17,14 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <string>
 
 #include "config/serialization.hpp"
 #include "engine/engine.hpp"
 #include "engine/session.hpp"
 #include "gen/industrial.hpp"
 #include "obs/counters.hpp"
+#include "trajectory/sweep.hpp"
 
 namespace afdx::engine {
 namespace {
@@ -73,19 +77,22 @@ TEST(WorkCounters, ColdAndRepeatRunsArePinned) {
     Work cold;
     /// A second run on the same engine.
     Work repeat;
+    /// trajectory.sweep.evaluations of the cold run under the scalar and
+    /// the SIMD kernel.
+    std::uint64_t evaluations[2];
   };
   const Case cases[] = {
       {"generated seed 42, 500 VLs", [] { return generated(42, 1, 500); },
-       {134, 2442, 273823, 6626}, {0, 0, 0, 0}},
+       {134, 2442, 273823, 6626}, {0, 0, 0, 0}, {6596, 4166}},
       {"generated seed 1, 4 domains, 2000 VLs",
        [] { return generated(1, 4, 2000); },
-       {543, 10014, 1175429, 40772}, {0, 0, 0, 0}},
+       {543, 10014, 1175429, 40772}, {0, 0, 0, 0}, {39283, 23020}},
       {"sample.afdx",
        [] {
          return config::load_config_file(AFDX_REPO_ROOT
                                          "/tests/data/sample.afdx");
        },
-       {9, 13, 29, 0}, {0, 0, 0, 0}},
+       {9, 13, 29, 0}, {0, 0, 0, 0}, {0, 0}},
       {"cyclic.afdx",
        [] {
          return config::load_config_file(AFDX_REPO_ROOT
@@ -93,17 +100,33 @@ TEST(WorkCounters, ColdAndRepeatRunsArePinned) {
        },
        // Each run repeats the serial fixed point (the port cache holds
        // feed-forward ports only), and trajectory failures are not cached.
-       {36, 12, 0, 0}, {36, 12, 0, 0}},
+       {36, 12, 0, 0}, {36, 12, 0, 0}, {0, 0}},
   };
+  namespace sweep = trajectory::sweep;
+  // Restores the dispatched kernel even when an assertion throws.
+  struct KernelGuard {
+    sweep::Kind saved = sweep::active();
+    ~KernelGuard() { sweep::set_active(saved); }
+  } guard;
+  obs::Counter& evaluations =
+      obs::registry().counter("trajectory.sweep.evaluations");
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
     const TrafficConfig cfg = c.config();
-    AnalysisEngine eng(cfg, Options{1});
-    const auto run = [&] {
-      (void)eng.run_streaming([](const StreamPathResult&) {});
-    };
-    EXPECT_EQ(work_of(run), c.cold);
-    EXPECT_EQ(work_of(run), c.repeat);
+    for (const sweep::Kind kind : {sweep::Kind::kScalar, sweep::Kind::kSimd}) {
+      const bool simd = kind == sweep::Kind::kSimd;
+      if (simd && !sweep::simd_available()) continue;
+      SCOPED_TRACE(std::string(c.name) + ", " + sweep::name(kind) + " sweep");
+      sweep::set_active(kind);
+      AnalysisEngine eng(cfg, Options{1});
+      const auto run = [&] {
+        (void)eng.run_streaming([](const StreamPathResult&) {});
+      };
+      const std::uint64_t evaluations_before = evaluations.value();
+      EXPECT_EQ(work_of(run), c.cold);
+      EXPECT_EQ(evaluations.value() - evaluations_before,
+                c.evaluations[simd ? 1 : 0]);
+      EXPECT_EQ(work_of(run), c.repeat);
+    }
   }
 }
 

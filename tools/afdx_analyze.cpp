@@ -116,6 +116,41 @@ constexpr int kExitUsage = 2;
 constexpr int kExitPartial = 3;
 constexpr int kExitViolation = 4;
 
+/// A bound cell: the value, or "-" for a path the method did not bound.
+std::string fmt_bound(Microseconds us) {
+  return std::isfinite(us) ? report::fmt(us) : std::string("-");
+}
+
+/// A status cell: the path state and, in parentheses, its degradation
+/// message.
+std::string status_cell(engine::PathState state, const std::string& message) {
+  std::string status = engine::to_string(state);
+  if (!message.empty()) status += " (" + message + ")";
+  return status;
+}
+
+/// Header of the per-path rows of --partial and --stream --csv.
+const std::vector<std::string> kPathColumns{
+    "vl", "destination", "hops", "wcnc_us", "trajectory_us", "combined_us",
+    "status"};
+
+/// One per-path row of --partial and --stream --csv.
+std::vector<std::string> path_row(const TrafficConfig& config,
+                                  std::size_t path, Microseconds netcalc,
+                                  Microseconds trajectory,
+                                  Microseconds combined,
+                                  engine::PathState state,
+                                  const std::string& message) {
+  const VlPath& p = config.all_paths()[path];
+  return {config.vl(p.vl).name,
+          config.network().node(config.vl(p.vl).destinations[p.dest_index]).name,
+          std::to_string(p.links.size()),
+          fmt_bound(netcalc),
+          fmt_bound(trajectory),
+          fmt_bound(combined),
+          status_cell(state, message)};
+}
+
 struct CliOptions {
   std::optional<std::string> config_file;
   std::optional<std::uint64_t> generate_seed;
@@ -381,24 +416,16 @@ int run(const CliOptions& opts) {
           rungs += analysis::to_string(static_cast<analysis::Rung>(k));
         }
       }
-      std::string status = engine::to_string(r.status[i].state);
-      if (!r.status[i].message.empty()) {
-        status += " (" + r.status[i].message + ")";
-      }
       table.add_row(
           {config.vl(p.vl).name,
            config.network()
                .node(config.vl(p.vl).destinations[p.dest_index])
                .name,
            std::to_string(p.links.size()),
-           std::isfinite(r.bounds[i]) ? report::fmt(r.bounds[i])
-                                      : std::string("-"),
-           analysis::to_string(prov.winner),
-           std::isfinite(prov.first_bound_us)
-               ? report::fmt(prov.first_bound_us)
-               : std::string("-"),
-           report::fmt(prov.tightening_us()), std::move(rungs),
-           std::move(status)});
+           fmt_bound(r.bounds[i]), analysis::to_string(prov.winner),
+           fmt_bound(prov.first_bound_us), report::fmt(prov.tightening_us()),
+           std::move(rungs),
+           status_cell(r.status[i].state, r.status[i].message)});
     }
     if (opts.csv) {
       table.print_csv(std::cout);
@@ -439,25 +466,15 @@ int run(const CliOptions& opts) {
 
   if (opts.stream) {
     engine::AnalysisEngine eng(config, opts.eng);
-    const auto fmt_bound = [](Microseconds us) {
-      return std::isfinite(us) ? report::fmt(us) : std::string("-");
-    };
     engine::StreamSink sink;
     if (opts.csv) {
-      std::cout << "vl,destination,hops,wcnc_us,trajectory_us,combined_us,"
-                   "status\n";
+      report::print_csv_row(std::cout, kPathColumns);
       // Rows print in completion order (not path order); the summary below
       // is what the exit code is derived from either way.
       sink = [&](const engine::StreamPathResult& r) {
-        const VlPath& p = config.all_paths()[r.path_index];
-        std::cout << config.vl(r.vl).name << ','
-                  << config.network()
-                         .node(config.vl(r.vl).destinations[r.dest_index])
-                         .name
-                  << ',' << p.links.size() << ',' << fmt_bound(r.netcalc)
-                  << ',' << fmt_bound(r.trajectory) << ','
-                  << fmt_bound(r.combined) << ','
-                  << engine::to_string(r.state) << '\n';
+        report::print_csv_row(
+            std::cout, path_row(config, r.path_index, r.netcalc, r.trajectory,
+                                r.combined, r.state, r.message));
       };
     }
     const engine::StreamSummary s = eng.run_streaming(
@@ -489,25 +506,11 @@ int run(const CliOptions& opts) {
     engine::AnalysisEngine eng(config, opts.eng);
     const engine::RunResult r =
         eng.run_resilient(opts.nc, opts.tj, engine::RunControl{cancel_ptr});
-    report::Table table({"vl", "destination", "hops", "wcnc_us",
-                         "trajectory_us", "combined_us", "status"});
-    const auto fmt_bound = [](Microseconds us) {
-      return std::isfinite(us) ? report::fmt(us) : std::string("-");
-    };
+    report::Table table(kPathColumns);
     for (std::size_t i = 0; i < config.all_paths().size(); ++i) {
-      const VlPath& p = config.all_paths()[i];
-      std::string status = engine::to_string(r.status[i].state);
-      if (!r.status[i].message.empty()) {
-        status += " (" + r.status[i].message + ")";
-      }
-      table.add_row(
-          {config.vl(p.vl).name,
-           config.network()
-               .node(config.vl(p.vl).destinations[p.dest_index])
-               .name,
-           std::to_string(p.links.size()), fmt_bound(r.netcalc[i]),
-           fmt_bound(r.trajectory[i]), fmt_bound(r.combined[i]),
-           std::move(status)});
+      table.add_row(path_row(config, i, r.netcalc[i], r.trajectory[i],
+                             r.combined[i], r.status[i].state,
+                             r.status[i].message));
     }
     if (opts.csv) {
       table.print_csv(std::cout);
