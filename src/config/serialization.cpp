@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -72,6 +73,20 @@ double attr_number(std::string_view s, std::string_view key, int line_no) {
   const auto v = afdx::parse_double(s);
   AFDX_REQUIRE(v.has_value(), at(line_no) + "attribute '" + std::string(key) +
                                   "': bad number '" + std::string(s) + "'");
+  return *v;
+}
+
+/// A non-negative integer attribute no larger than `max` ("100.5", "-1",
+/// "1e2" and out-of-range values are rejected, naming the key and line).
+std::uint64_t attr_uint(std::string_view s, std::string_view key, int line_no,
+                        std::uint64_t max) {
+  const auto v = afdx::parse_uint(s);
+  AFDX_REQUIRE(v.has_value(), at(line_no) + "attribute '" + std::string(key) +
+                                  "': expected a non-negative integer, got '" +
+                                  std::string(s) + "'");
+  AFDX_REQUIRE(*v <= max, at(line_no) + "attribute '" + std::string(key) +
+                              "': " + std::string(s) + " is out of range (0.." +
+                              std::to_string(max) + ")");
   return *v;
 }
 
@@ -221,13 +236,16 @@ TrafficConfig load_config(std::istream& in) {
         } else if (k == "bag") {
           vl.bag = attr_number(v, k, line_no);
         } else if (k == "smin") {
-          vl.s_min = static_cast<Bytes>(attr_number(v, k, line_no));
+          vl.s_min = static_cast<Bytes>(
+              attr_uint(v, k, line_no, std::numeric_limits<Bytes>::max()));
         } else if (k == "smax") {
-          vl.s_max = static_cast<Bytes>(attr_number(v, k, line_no));
+          vl.s_max = static_cast<Bytes>(
+              attr_uint(v, k, line_no, std::numeric_limits<Bytes>::max()));
         } else if (k == "jit") {
           vl.max_release_jitter = attr_number(v, k, line_no);
         } else if (k == "prio") {
-          vl.priority = static_cast<std::uint8_t>(attr_number(v, k, line_no));
+          vl.priority = static_cast<std::uint8_t>(attr_uint(
+              v, k, line_no, std::numeric_limits<std::uint8_t>::max()));
         } else {
           throw Error(at(line_no) + "unknown vl attribute '" + std::string(k) +
                       "'");

@@ -225,7 +225,11 @@ AnalysisEngine::TrajectoryContext AnalysisEngine::resolve_trajectory_context(
     }
   }
   ctx.tj_key = trajectory_options_key(options);
-  ctx.pcache = prefix_cache_for(ctx.tj_key, caps_signature(ctx.caps));
+  try {
+    ctx.pcache = prefix_cache_for(ctx.tj_key, caps_signature(ctx.caps));
+  } catch (const std::exception& e) {
+    ctx.error = e.what();
+  }
   return ctx;
 }
 
@@ -270,7 +274,7 @@ void AnalysisEngine::bound_paths(const TrajectoryContext& ctx,
   // natural end: once the token expired, the caps may be uncapped
   // placeholders rather than the baseline's values, which would poison
   // the persistent cache.
-  if (!expired(cancel)) {
+  if (ctx.pcache != nullptr && !expired(cancel)) {
     for (const IncrementalReuse::Prefix& s : reuse.prefixes) {
       ctx.pcache->seed(s.vl, s.link, s.bound);
     }
@@ -314,9 +318,11 @@ void AnalysisEngine::bound_paths(const TrajectoryContext& ctx,
   }
 
   // A throw mid-recursion leaves the analyzer consistent -- the
-  // in-progress markers unwind with the stack and the memo only ever holds
+  // in-progress markers unwind with the stack and the store only ever holds
   // successfully computed bounds -- so a worker keeps its analyzer (and
-  // its memo) across contained per-path failures.
+  // its state) across contained per-path failures. The shards share the
+  // engine's slot table and the context's store; each keeps only its
+  // recursion state.
   struct Shard {
     std::optional<trajectory::Analyzer> analyzer;
     std::string construct_error;
@@ -330,13 +336,17 @@ void AnalysisEngine::bound_paths(const TrajectoryContext& ctx,
     if (!shard.initialized) {
       AFDX_TRACE_SPAN("engine.trajectory.shard", "engine");
       shard.initialized = true;
-      try {
-        shard.analyzer.emplace(cfg_, ctx.options);
-        if (ctx.caps.has_value()) shard.analyzer->set_backlog_caps(*ctx.caps);
-        shard.analyzer->set_prefix_cache(ctx.pcache.get());
-      } catch (const std::exception& e) {
-        shard.analyzer.reset();
-        shard.construct_error = e.what();
+      shard.construct_error = ctx.error;
+      if (ctx.pcache != nullptr) {
+        try {
+          shard.analyzer.emplace(cfg_, ctx.options, ctx.pcache);
+          if (ctx.caps.has_value()) {
+            shard.analyzer->set_backlog_caps(*ctx.caps);
+          }
+        } catch (const std::exception& e) {
+          shard.analyzer.reset();
+          shard.construct_error = e.what();
+        }
       }
     }
     ++shard.vls;
@@ -364,6 +374,7 @@ void AnalysisEngine::bound_paths(const TrajectoryContext& ctx,
   for (const Shard& shard : local) {
     if (!shard.analyzer.has_value()) continue;
     const trajectory::Analyzer::CacheCounters& c = shard.analyzer->counters();
+    ctx.pcache->count(c.shared_hits, c.lookups - c.local_hits - c.shared_hits);
     metrics_.shards.push_back(ShardMetrics{shard.vls, shard.paths_done,
                                            c.lookups, c.local_hits,
                                            c.shared_hits});
@@ -672,9 +683,15 @@ std::shared_ptr<trajectory::PrefixCache> AnalysisEngine::prefix_cache_for(
     std::uint64_t tj_key, std::uint64_t caps_sig) {
   // One more FNV round folds the two digests into the map key.
   const std::uint64_t key = fnv_mix(tj_key, caps_sig, 8);
-  auto& slot = prefix_caches_[key];
-  if (slot == nullptr) slot = std::make_shared<trajectory::PrefixCache>(scope_);
-  return slot;
+  auto& store = prefix_caches_[key];
+  if (store == nullptr) {
+    if (slot_table_ == nullptr) {
+      AFDX_TRACE_SPAN("engine.trajectory.slot_table", "engine");
+      slot_table_ = std::make_shared<const trajectory::SlotTable>(cfg_);
+    }
+    store = std::make_shared<trajectory::PrefixCache>(slot_table_, scope_);
+  }
+  return store;
 }
 
 RunMetrics AnalysisEngine::metrics() const {

@@ -15,7 +15,8 @@
 //   3. trajectory -- the target paths are sharded across the pool by whole
 //      VLs in a locality-aware order (paths of one VL share their prefix
 //      recursion, neighbouring VLs share interferers); every shard-local
-//      analyzer shares the caps and one prefix cache.
+//      analyzer shares the caps, the engine's one slot table and one
+//      lock-free prefix store.
 //   4. assembly -- each path's WCNC sum, its combined bound (the paper's
 //      per-path minimum) and its status go to a sink as soon as its
 //      trajectory bound is known.
@@ -197,8 +198,9 @@ struct RunResult {
   /// validates a baseline against these before transplanting results.
   std::uint64_t nc_options_key = 0;
   std::uint64_t tj_options_key = 0;
-  /// The shared prefix cache the trajectory phase used (null when the
-  /// phase never ran); run_incremental reads baseline prefixes from here.
+  /// The shared prefix store the trajectory phase used (null when the
+  /// phase never ran or the configuration has no slot table);
+  /// run_incremental reads baseline prefixes from here.
   std::shared_ptr<const trajectory::PrefixCache> prefixes;
   /// Snapshot of the engine metrics at the end of the run.
   RunMetrics metrics;
@@ -344,12 +346,15 @@ class AnalysisEngine {
 
   /// Everything a trajectory phase needs, resolved once per call: the
   /// options, their digest, the serialization caps and the shared prefix
-  /// cache they key.
+  /// store they key.
   struct TrajectoryContext {
     trajectory::Options options;
     std::optional<std::vector<Microseconds>> caps;
     std::uint64_t tj_key = 0;
+    /// Null when the configuration has no slot table; `error` says why
+    /// (e.g. a static-priority configuration) and fails every path.
     std::shared_ptr<trajectory::PrefixCache> pcache;
+    std::string error;
   };
 
   /// Per-path callback of step 3, called concurrently from the workers
@@ -423,9 +428,12 @@ class AnalysisEngine {
 
   /// The once-built flat flow index of this engine's configuration.
   const netcalc::PortFlowIndex& flow_index();
-  /// The shared trajectory prefix cache for one (trajectory options, caps)
+  /// The shared trajectory prefix store for one (trajectory options, caps)
   /// context, created on first use. Bounds are pure functions of that
-  /// context, so the cache persists across runs of this engine.
+  /// context, so the store persists across runs of this engine. The first
+  /// call builds the engine's slot table, which every store and shard
+  /// shares; it throws (on every call) when the configuration cannot be
+  /// indexed.
   std::shared_ptr<trajectory::PrefixCache> prefix_cache_for(
       std::uint64_t tj_key, std::uint64_t caps_sig);
 
@@ -437,9 +445,11 @@ class AnalysisEngine {
   std::optional<netcalc::PortFlowIndex> flow_index_;
   /// Cached locality_vl_order() result (pure function of cfg_).
   std::optional<std::vector<VlId>> locality_order_;
+  /// The configuration's trajectory slot table, built on first use.
+  std::shared_ptr<const trajectory::SlotTable> slot_table_;
   std::unordered_map<std::uint64_t, std::shared_ptr<trajectory::PrefixCache>>
       prefix_caches_;
-  /// The cache used by the most recent trajectory phase.
+  /// The store used by the most recent trajectory phase.
   std::shared_ptr<trajectory::PrefixCache> last_prefix_cache_;
   RunMetrics metrics_;
 };

@@ -14,44 +14,46 @@ PrefixCacheStats prefix_cache_stats(obs::Registry& scope) {
                           scope.counter(kSeeded).value()};
 }
 
-PrefixCache::PrefixCache(std::shared_ptr<obs::Registry> scope)
-    : scope_(std::move(scope)),
-      hits_(scope_->counter(kHits)),
-      misses_(scope_->counter(kMisses)),
-      seeded_(scope_->counter(kSeeded)) {}
-
-std::optional<Microseconds> PrefixCache::lookup(VlId vl, LinkId link) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key(vl, link));
-  if (it == entries_.end()) {
-    misses_.add();
-    return std::nullopt;
+PrefixCache::PrefixCache(std::shared_ptr<const SlotTable> table,
+                         std::shared_ptr<obs::Registry> scope)
+    : table_(std::move(table)),
+      values_(std::make_unique<std::atomic<std::uint64_t>[]>(table_->size())),
+      scope_(std::move(scope)) {
+  for (std::size_t s = 0; s < table_->size(); ++s) {
+    values_[s].store(kAbsent, std::memory_order_relaxed);
   }
-  hits_.add();
-  return it->second;
+  if (scope_ != nullptr) {
+    hits_ = &scope_->counter(kHits);
+    misses_ = &scope_->counter(kMisses);
+    seeded_ = &scope_->counter(kSeeded);
+  }
 }
 
-void PrefixCache::store(VlId vl, LinkId link, Microseconds bound) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.emplace(key(vl, link), bound);
+void PrefixCache::count(std::uint64_t hits, std::uint64_t misses) noexcept {
+  if (scope_ == nullptr) return;
+  hits_->add(hits);
+  misses_->add(misses);
 }
 
 void PrefixCache::seed(VlId vl, LinkId link, Microseconds bound) {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_[key(vl, link)] = bound;
-  seeded_.add();
+  const Slot slot = table_->find(vl, link);
+  if (slot == kNoSlot) return;
+  store(slot, bound);
+  if (seeded_ != nullptr) seeded_->add();
 }
 
 std::optional<Microseconds> PrefixCache::peek(VlId vl, LinkId link) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(key(vl, link));
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
+  const Slot slot = table_->find(vl, link);
+  if (slot == kNoSlot) return std::nullopt;
+  return lookup(slot);
 }
 
 std::size_t PrefixCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < table_->size(); ++s) {
+    n += values_[s].load(std::memory_order_relaxed) != kAbsent;
+  }
+  return n;
 }
 
 }  // namespace afdx::trajectory

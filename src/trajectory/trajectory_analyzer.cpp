@@ -67,16 +67,19 @@ struct Analyzer::ScratchFrame {
 Analyzer::~Analyzer() = default;
 
 Analyzer::Analyzer(const TrafficConfig& config, const Options& options)
-    : cfg_(config), opt_(options) {
-  // The trajectory approach is a FIFO analysis; static-priority
-  // configurations are handled by the network-calculus analyzer only.
-  for (VlId v = 0; v < cfg_.vl_count(); ++v) {
-    AFDX_REQUIRE(cfg_.vl(v).priority == cfg_.vl(0).priority,
-                 "trajectory: the trajectory approach supports FIFO ports "
-                 "only (VL " + cfg_.vl(v).name +
-                 " uses a different priority class)");
-  }
-  build_flow_table();
+    : Analyzer(config, options,
+               std::make_shared<PrefixCache>(
+                   std::make_shared<const SlotTable>(config), nullptr)) {}
+
+Analyzer::Analyzer(const TrafficConfig& config, const Options& options,
+                   std::shared_ptr<PrefixCache> store)
+    : cfg_(config),
+      opt_(options),
+      store_(std::move(store)),
+      table_(store_->table()),
+      slot_state_(std::make_unique<std::uint8_t[]>(table_.size())) {
+  AFDX_REQUIRE(table_.link_count() == cfg_.network().link_count(),
+               "trajectory: the slot table was built for another network");
 }
 
 void Analyzer::set_backlog_caps(std::vector<Microseconds> caps) {
@@ -115,88 +118,16 @@ std::vector<Microseconds> serialization_caps(const TrafficConfig& config,
   return caps;
 }
 
-void Analyzer::build_flow_table() {
-  const Network& net = cfg_.network();
-  link_offset_.assign(net.link_count() + 1, 0);
-  std::vector<Slot> vl_begin(cfg_.vl_count() + 1, 0);
-  for (LinkId l = 0; l < net.link_count(); ++l) {
-    const std::size_t end = link_offset_[l] + cfg_.vls_on_link(l).size();
-    AFDX_REQUIRE(end < kNoSlot,
-                 "trajectory: too many (VL, link) crossings to index");
-    link_offset_[l + 1] = static_cast<Slot>(end);
-    for (VlId j : cfg_.vls_on_link(l)) ++vl_begin[j + 1];
-  }
-  for (VlId j = 0; j < cfg_.vl_count(); ++j) vl_begin[j + 1] += vl_begin[j];
-
-  // The rows, and every VL's crossings as (link, slot) ascending by link:
-  // a VL crosses a handful of links, so its predecessor slots are found in
-  // that short list instead of in the long per-link lists.
-  flows_.resize(link_offset_.back());
-  std::vector<std::pair<LinkId, Slot>> by_vl(link_offset_.back());
-  std::vector<Slot> cursor(vl_begin.begin(), vl_begin.end() - 1);
-  Slot s = 0;
-  for (LinkId l = 0; l < net.link_count(); ++l) {
-    for (VlId j : cfg_.vls_on_link(l)) {
-      const VirtualLink& v = cfg_.vl(j);
-      flows_[s] = FlowAtLink{j,     kInvalidLink, kNoSlot,
-                             v.max_transmission_time(net.link(l).rate),
-                             v.bag, v.max_release_jitter};
-      by_vl[cursor[j]++] = {l, s++};
-    }
-  }
-  // Predecessors: consecutive links of the VL's paths, the relation
-  // VlRoute::predecessor is built from.
-  for (VlId j = 0; j < cfg_.vl_count(); ++j) {
-    const auto slot_in = [&](LinkId l) {
-      return std::lower_bound(by_vl.begin() + vl_begin[j],
-                              by_vl.begin() + vl_begin[j + 1],
-                              std::pair<LinkId, Slot>{l, 0})
-          ->second;
-    };
-    for (const std::vector<LinkId>& path : cfg_.route(j).paths()) {
-      for (std::size_t k = 1; k < path.size(); ++k) {
-        FlowAtLink& f = flows_[slot_in(path[k])];
-        f.pred = path[k - 1];
-        f.pred_slot = slot_in(path[k - 1]);
-      }
-    }
-  }
-  prefix_bound_ = std::make_unique_for_overwrite<Microseconds[]>(s);
-  min_arrival_ = std::make_unique_for_overwrite<Microseconds[]>(s);
-  slot_state_ = std::make_unique<std::uint8_t[]>(s);
-}
-
-Analyzer::Slot Analyzer::slot_of(VlId vl, LinkId link) const {
+Slot Analyzer::slot_of(VlId vl, LinkId link) const {
   AFDX_REQUIRE(link < cfg_.network().link_count(),
                "trajectory: link id out of range");
-  const std::vector<VlId>& crossing = cfg_.vls_on_link(link);
-  const auto it = std::lower_bound(crossing.begin(), crossing.end(), vl);
-  AFDX_REQUIRE(it != crossing.end() && *it == vl,
-               "trajectory: VL does not cross link");
-  return link_offset_[link] + static_cast<Slot>(it - crossing.begin());
+  const Slot slot = table_.find(vl, link);
+  AFDX_REQUIRE(slot != kNoSlot, "trajectory: VL does not cross link");
+  return slot;
 }
 
 Microseconds Analyzer::min_arrival_at(VlId vl, LinkId link) const {
-  return min_arrival_at_slot(slot_of(vl, link), vl, link);
-}
-
-Microseconds Analyzer::min_arrival_at_slot(Slot slot, VlId vl,
-                                           LinkId link) const {
-  if ((slot_state_[slot] & kMinArrival) != 0) return min_arrival_[slot];
-  // Walk the unique tree prefix backwards: each earlier node adds its
-  // (smallest-frame) transmission time, each node after the first adds its
-  // technological latency.
-  Microseconds acc = 0.0;
-  LinkId cur = link;
-  for (Slot s = slot; flows_[s].pred != kInvalidLink; s = flows_[s].pred_slot) {
-    const LinkId pred = flows_[s].pred;
-    acc += cfg_.vl(vl).min_transmission_time(cfg_.network().link(pred).rate);
-    acc += cfg_.network().link(cur).latency;
-    cur = pred;
-  }
-  min_arrival_[slot] = acc;
-  slot_state_[slot] |= kMinArrival;
-  return acc;
+  return table_[slot_of(vl, link)].min_arrival;
 }
 
 Microseconds Analyzer::max_arrival_at(VlId vl, LinkId link) {
@@ -214,24 +145,21 @@ Microseconds Analyzer::bound_to_link(VlId vl, LinkId link) {
 Microseconds Analyzer::bound_at(Slot slot, VlId vl, LinkId link) {
   ++counters_.lookups;
   std::uint8_t& state = slot_state_[slot];
-  if ((state & kPrefixMask) == kDone) {
+  if (state == kDone) {
     ++counters_.local_hits;
-    return prefix_bound_[slot];
+    return *store_->lookup(slot);
   }
-  if (shared_ != nullptr) {
-    if (const auto cached = shared_->lookup(vl, link); cached.has_value()) {
-      ++counters_.shared_hits;
-      prefix_bound_[slot] = *cached;
-      state = (state & ~kPrefixMask) | kDone;
-      return *cached;
-    }
+  if (const auto cached = store_->lookup(slot); cached.has_value()) {
+    ++counters_.shared_hits;
+    state = kDone;
+    return *cached;
   }
-  AFDX_REQUIRE((state & kPrefixMask) != kInProgress,
+  AFDX_REQUIRE(state != kInProgress,
                "trajectory: cyclic prefix dependency involving VL " +
                    cfg_.vl(vl).name +
                    " (the trajectory approach requires a feed-forward "
                    "configuration)");
-  state = (state & ~kPrefixMask) | kInProgress;
+  state = kInProgress;
   // Clear the marker on every exit path. compute_prefix throws on
   // divergence (unstable path utilization), and analyzer instances are
   // reused across paths by the engine and the ladder; a leaked marker
@@ -240,13 +168,12 @@ Microseconds Analyzer::bound_at(Slot slot, VlId vl, LinkId link) {
   struct ClearGuard {
     std::uint8_t& state;
     ~ClearGuard() {
-      if ((state & kPrefixMask) == kInProgress) state &= ~kPrefixMask;
+      if (state == kInProgress) state = kEmpty;
     }
   } guard{state};
   const Microseconds bound = compute_prefix(slot, vl, link);
-  prefix_bound_[slot] = bound;
-  state = (state & ~kPrefixMask) | kDone;
-  if (shared_ != nullptr) shared_->store(vl, link, bound);
+  store_->store(slot, bound);
+  state = kDone;
   return bound;
 }
 
@@ -286,8 +213,8 @@ Microseconds Analyzer::compute_prefix(Slot slot, VlId i, LinkId last) {
   std::vector<Slot>& sub_slots = fr.sub_slots;
   sub.clear();
   sub_slots.clear();
-  for (Slot s = slot; s != kNoSlot; s = flows_[s].pred_slot) {
-    sub.push_back(sub.empty() ? last : flows_[sub_slots.back()].pred);
+  for (Slot s = slot; s != kNoSlot; s = table_[s].pred_slot) {
+    sub.push_back(sub.empty() ? last : table_[sub_slots.back()].pred);
     sub_slots.push_back(s);
   }
   std::reverse(sub.begin(), sub.end());
@@ -336,8 +263,8 @@ Microseconds Analyzer::compute_prefix(Slot slot, VlId i, LinkId last) {
     // unchanged) and reused for the rest of the node's flows.
     bool jitter_i_cached = false;
     Microseconds jitter_i_node = 0.0;
-    for (Slot s = link_offset_[lk]; s < link_offset_[lk + 1]; ++s) {
-      const FlowAtLink& f = flows_[s];
+    for (Slot s = table_.begin(lk); s < table_.end(lk); ++s) {
+      const FlowAtLink& f = table_[s];
       const VlId j = f.id;
       const LinkId pred_j = f.pred;
       ScratchFrame::OpenSegment& open = fr.open[j];
@@ -357,7 +284,7 @@ Microseconds Analyzer::compute_prefix(Slot slot, VlId i, LinkId last) {
           ((pred_j == kInvalidLink)
                ? 0.0
                : bound_at(f.pred_slot, j, pred_j) + latency_lk);
-      const Microseconds jitter_j = max_arr_j - min_arrival_at_slot(s, j, lk);
+      const Microseconds jitter_j = max_arr_j - f.min_arrival;
       Microseconds jitter_i = 0.0;
       if (j != i || idx > 0) {
         // The study packet's own release instant is the time origin, so
@@ -368,8 +295,7 @@ Microseconds Analyzer::compute_prefix(Slot slot, VlId i, LinkId last) {
               (idx == 0) ? 0.0
                          : bound_at(sub_slots[idx - 1], i, sub[idx - 1]) +
                                latency_lk;
-          jitter_i_node =
-              max_arr_i - min_arrival_at_slot(sub_slots[idx], i, lk);
+          jitter_i_node = max_arr_i - table_[sub_slots[idx]].min_arrival;
           jitter_i_cached = true;
         }
         jitter_i = jitter_i_node;
@@ -408,8 +334,8 @@ Microseconds Analyzer::compute_prefix(Slot slot, VlId i, LinkId last) {
   for (std::size_t idx = 1; idx < m; ++idx) {
     const LinkId lk = sub[idx];
     Microseconds biggest = 0.0;
-    for (Slot s = link_offset_[lk]; s < link_offset_[lk + 1]; ++s) {
-      const FlowAtLink& f = flows_[s];
+    for (Slot s = table_.begin(lk); s < table_.end(lk); ++s) {
+      const FlowAtLink& f = table_[s];
       // The boundary packet closes the busy period of node idx-1 and opens
       // the one of node idx, so it physically travels that transition;
       // only flows routed through it qualify (always at least flow i).

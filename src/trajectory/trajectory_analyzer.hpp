@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/arena.hpp"
+#include "trajectory/slot_table.hpp"
 #include "vl/traffic_config.hpp"
 
 namespace afdx::netcalc {
@@ -74,11 +75,21 @@ struct Result {
   std::vector<Microseconds> path_bounds;
 };
 
-/// Trajectory analyzer. Holds the memoized per-(VL, link) prefix bounds so
-/// repeated queries stay cheap.
+/// Trajectory analyzer. Reads the configuration's SlotTable and keeps the
+/// prefix bounds in a PrefixCache, so repeated queries stay cheap; only the
+/// recursion's own state (per-slot progress bytes, scratch) is per instance.
 class Analyzer {
  public:
+  /// A standalone analyzer with its own slot table and prefix store.
   explicit Analyzer(const TrafficConfig& config, const Options& options = {});
+  /// A shard analyzer over `store`, whose slot table was built from
+  /// `config`: prefix bounds are looked up there after the instance's own
+  /// state misses, and every freshly computed bound is published back. The
+  /// caller guarantees every analyzer sharing one store runs the same
+  /// (configuration, options, caps) -- the bounds are pure functions of
+  /// that triple, so sharing never changes a result.
+  Analyzer(const TrafficConfig& config, const Options& options,
+           std::shared_ptr<PrefixCache> store);
   ~Analyzer();  // out of line: ScratchFrame is incomplete here
 
   /// Bounds for every VL path of the configuration.
@@ -104,18 +115,11 @@ class Analyzer {
   /// analyzers can share one WCNC pass.
   void set_backlog_caps(std::vector<Microseconds> caps);
 
-  /// Attaches a shared prefix cache (thread-safe, owned by the caller,
-  /// must outlive the analyzer). Prefix bounds are looked up there after
-  /// the instance-local memo misses, and every freshly computed bound is
-  /// published back. The caller guarantees every attached analyzer runs
-  /// the same (configuration, options, caps) -- the bounds are pure
-  /// functions of that triple, so sharing never changes a result.
-  void set_prefix_cache(PrefixCache* cache) noexcept { shared_ = cache; }
-
-  /// Where this instance's prefix lookups were answered: the local memo,
-  /// the shared cache, or neither (freshly computed). The engine surfaces
-  /// these per shard -- with locality-aware VL ordering, neighbouring VLs
-  /// share prefixes, so a healthy shard shows a high local hit rate.
+  /// Where this instance's prefix lookups were answered: its own state
+  /// (a bound it computed or already read), the shared store, or neither
+  /// (freshly computed). The engine surfaces these per shard -- with
+  /// locality-aware VL ordering, neighbouring VLs share prefixes, so a
+  /// healthy shard shows a high local hit rate.
   struct CacheCounters {
     std::uint64_t lookups = 0;
     std::uint64_t local_hits = 0;
@@ -126,33 +130,14 @@ class Analyzer {
   }
 
  private:
-  /// Dense index of a (VL, link) crossing: offset of the link's rows in
-  /// the flow table plus the VL's position in vls_on_link(link).
-  using Slot = std::uint32_t;
-  static constexpr Slot kNoSlot = ~Slot{0};
-
-  /// One crossing of the flow table: the crossing VL, its predecessor link
-  /// and the slot of (VL, predecessor), largest-frame transmission time at
-  /// the link's rate, BAG and release jitter. A crossing's own slot is its
-  /// index in the table. Built once per instance; removes the per-prefix
-  /// route and memo lookups from the segment-construction loop.
-  struct FlowAtLink {
-    VlId id = kInvalidVl;
-    LinkId pred = kInvalidLink;
-    Slot pred_slot = kNoSlot;
-    Microseconds c = 0.0;
-    Microseconds period = 0.0;
-    Microseconds release_jitter = 0.0;
-  };
-
-  /// Memo state of a slot: the prefix bound's progress in the low bits,
-  /// and kMinArrival once min_arrival_ holds the slot's value.
+  /// Progress of a slot's prefix bound in this instance. kInProgress is
+  /// the cycle guard of the recursion stack and must never be shared;
+  /// kDone means the store holds the bound and this instance has read or
+  /// written it (a later lookup is a local hit).
   enum SlotState : std::uint8_t {
     kEmpty = 0,
     kInProgress = 1,
     kDone = 2,
-    kPrefixMask = 3,
-    kMinArrival = 4,
   };
 
   /// Reusable per-prefix scratch (segment lists, candidate buffer,
@@ -161,13 +146,9 @@ class Analyzer {
   /// a pool indexed by recursion depth, not flat instance state.
   struct ScratchFrame;
 
-  /// Builds the flow table and the per-slot memo arrays (constructor).
-  void build_flow_table();
   /// The slot of (vl, link); throws when the VL does not cross the link.
   [[nodiscard]] Slot slot_of(VlId vl, LinkId link) const;
   Microseconds bound_at(Slot slot, VlId vl, LinkId link);
-  [[nodiscard]] Microseconds min_arrival_at_slot(Slot slot, VlId vl,
-                                                 LinkId link) const;
   Microseconds compute_prefix(Slot slot, VlId vl, LinkId last);
 
   /// The serialization caps, computed lazily from a serial default-options
@@ -176,22 +157,14 @@ class Analyzer {
 
   const TrafficConfig& cfg_;
   Options opt_;
-  /// The flow table, every link's crossings in vls_on_link order (so
-  /// ascending by VlId), and link l's rows start at link_offset_[l].
-  std::vector<FlowAtLink> flows_;
-  std::vector<Slot> link_offset_;
-  /// Per-slot memos, indexed by slot: the prefix bound (valid once the
-  /// slot's state is kDone) and the best-case arrival in the link's queue
-  /// (valid under kMinArrival; filled lazily with the exact chain-walk
-  /// sum, so memoization cannot perturb a bound). The two value arrays
-  /// are left uninitialized, so only the pages of slots this instance
-  /// touches become resident; the state bytes start at kEmpty. The const
-  /// min_arrival_at fills its memo through these pointers.
-  std::unique_ptr<Microseconds[]> prefix_bound_;
-  std::unique_ptr<Microseconds[]> min_arrival_;
+  /// The prefix bounds, shared or private; it owns the slot table.
+  std::shared_ptr<PrefixCache> store_;
+  /// store_->table(): every link's crossings in vls_on_link order (so
+  /// ascending by VlId); link l's rows are [begin(l), end(l)).
+  const SlotTable& table_;
+  /// One SlotState per slot, starting at kEmpty.
   std::unique_ptr<std::uint8_t[]> slot_state_;
   std::optional<std::vector<Microseconds>> backlog_caps_;
-  PrefixCache* shared_ = nullptr;
   /// Scratch pool, one frame per live recursion depth (frames are created
   /// on first use and keep their capacity across prefixes).
   std::vector<std::unique_ptr<ScratchFrame>> scratch_pool_;

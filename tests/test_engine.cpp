@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <numeric>
 #include <set>
@@ -1252,6 +1253,135 @@ TEST(EngineMetrics, EveryEntryPointReportsItsOwnCacheDeltas) {
   expect_own_delta("run_resilient", [&] { (void)eng.run_resilient(); });
   expect_own_delta("run_streaming",
                    [&] { (void)eng.run_streaming(nullptr); });
+}
+
+// --- One slot table and one lock-free prefix store per engine -------------
+// Every shard of an engine reads the engine's slot table and publishes to
+// one shared store; whatever the schedule, the bounds must be the ones a
+// fresh serial analyzer computes, bit for bit.
+
+std::vector<Microseconds> serial_trajectory(const TrafficConfig& cfg) {
+  return trajectory::analyze(cfg).path_bounds;
+}
+
+TrafficConfig four_domain_2000() {
+  gen::IndustrialOptions o;
+  o.seed = 1;
+  o.domains = 4;
+  o.vl_count = 2000;
+  return gen::industrial_config(o);
+}
+
+TEST(EngineSharedStore, ColdAndRepeatRunsMatchAFreshSerialAnalyzer) {
+  const TrafficConfig configs[] = {
+      four_domain_2000(),
+      config::load_config_file(AFDX_REPO_ROOT "/tests/data/sample.afdx")};
+  for (const TrafficConfig& cfg : configs) {
+    const std::vector<Microseconds> reference = serial_trajectory(cfg);
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      AnalysisEngine eng(cfg, Options{threads});
+      const RunResult cold = eng.run_resilient();
+      expect_identical(cold.trajectory, reference);
+      const RunResult repeat = eng.run_resilient();
+      expect_identical(repeat.trajectory, reference);
+      EXPECT_EQ(repeat.metrics.prefix_run.misses, 0u);
+      expect_identical(eng.trajectory_only(), reference);
+      ASSERT_NE(cold.prefixes, nullptr);
+      EXPECT_EQ(cold.prefixes, repeat.prefixes);
+    }
+  }
+}
+
+// An incremental what-if seeds the overlay engine's store with baseline
+// prefixes; its shards then read seeded, shared and local bounds alike.
+TEST(EngineSharedStore, SeededWhatIfMatchesAFreshSerialAnalyzer) {
+  const auto cfg = std::make_shared<const TrafficConfig>(four_domain_2000());
+  const auto base = BaselineState::build(cfg, {}, {}, 4);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    OverlaySession session(base, threads);
+    session.override_bag(cfg->vl(17).name, 1000.0);
+    const RunResult r = session.analyze();
+    ASSERT_FALSE(r.metrics.incremental.full_fallback)
+        << r.metrics.incremental.fallback_reason;
+    EXPECT_GT(r.metrics.incremental.seeded_prefixes, 0u);
+    EXPECT_EQ(r.metrics.prefix_run.seeded,
+              r.metrics.incremental.seeded_prefixes);
+    expect_identical(r.trajectory, serial_trajectory(session.materialize()));
+  }
+  // The baseline's store outlives the engine that filled it and still
+  // resolves (VL, link) keys through its own slot table.
+  const VlPath& p = cfg->all_paths().front();
+  const auto prefix = base->healthy().prefixes->peek(p.vl, p.links.back());
+  ASSERT_TRUE(prefix.has_value());
+  EXPECT_EQ(*prefix, base->healthy().trajectory.front());
+}
+
+/// cyclic.afdx plus `extra` feed-forward VLs d -> S1 -> e beside the cycle.
+TrafficConfig cyclic_with_bystanders(int extra) {
+  std::ifstream in(AFDX_REPO_ROOT "/tests/data/cyclic.afdx");
+  std::ostringstream text;
+  text << in.rdbuf();
+  text << "node es d\nnode es e\n"
+          "link d S1 rate=100 swlat=16 eslat=0\n"
+          "link S1 e rate=100 swlat=16 eslat=16\n";
+  for (int i = 0; i < extra; ++i) {
+    text << "vl g" << i << " src=d dst=e bag=" << 1000 * (1 + i % 4)
+         << " smin=64 smax=" << 100 + 40 * i << "\n";
+  }
+  return config::load_config_string(text.str());
+}
+
+// Shards never share their in-progress markers: at 4 threads exactly the
+// 3 paths of the cycle report it, every bystander gets the bound a
+// standalone analyzer gives, and a repeat run after those contained
+// throws returns identical bounds and statuses.
+TEST(EngineSharedStore, CyclicPathsFailAloneAcrossShards) {
+  const TrafficConfig cfg = cyclic_with_bystanders(24);
+  trajectory::Analyzer standalone(cfg);
+  AnalysisEngine eng(cfg, Options{4});
+  const RunResult first = eng.run_resilient();
+  const RunResult second = eng.run_resilient();
+  std::size_t cyclic = 0;
+  for (std::size_t i = 0; i < cfg.all_paths().size(); ++i) {
+    const VlPath& p = cfg.all_paths()[i];
+    const bool in_cycle = cfg.vl(p.vl).name.front() == 'f';
+    const PathStatus& s = first.status[i];
+    EXPECT_TRUE(s.ok()) << i;
+    if (s.message.find("cyclic prefix dependency") != std::string::npos) {
+      ++cyclic;
+      EXPECT_TRUE(in_cycle) << cfg.vl(p.vl).name;
+      EXPECT_TRUE(std::isinf(first.trajectory[i]));
+    } else {
+      EXPECT_FALSE(in_cycle) << cfg.vl(p.vl).name;
+      EXPECT_EQ(first.trajectory[i],
+                standalone.path_bound(PathRef{p.vl, p.dest_index}));
+    }
+    EXPECT_EQ(second.status[i].message, s.message) << i;
+  }
+  EXPECT_EQ(cyclic, 3u);
+  expect_identical(second.trajectory, first.trajectory);
+  expect_identical(second.combined, first.combined);
+}
+
+// A divergence throw (unstable path utilization) is contained the same
+// way: the next run on the engine returns the same bounds.
+TEST(EngineSharedStore, RunAfterAContainedThrowIsIdentical) {
+  const TrafficConfig cfg =
+      config::load_config_file(AFDX_REPO_ROOT "/tests/data/unstable.afdx");
+  AnalysisEngine serial(cfg, Options{1});
+  const RunResult reference = serial.run_resilient();
+  AnalysisEngine eng(cfg, Options{4});
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    const RunResult r = eng.run_resilient();
+    expect_identical(r.trajectory, reference.trajectory);
+    for (std::size_t i = 0; i < r.status.size(); ++i) {
+      EXPECT_EQ(r.status[i].state, reference.status[i].state) << i;
+      EXPECT_EQ(r.status[i].message, reference.status[i].message) << i;
+    }
+  }
 }
 
 // Differential matrix: every entry point that claims to run "the same

@@ -258,6 +258,52 @@ TEST(Serialization, SminAboveSmaxNamesItsLine) {
                   {"line 8: ", "VL v2: s_min must not exceed s_max"});
 }
 
+// Frame sizes and priorities are integers of a fixed width: a fraction, a
+// sign or a value past the field's range is rejected with its line and key
+// instead of being narrowed by a cast.
+TEST(Serialization, SmaxBeyondItsFieldRejectedAndNamed) {
+  expect_rejected(kTwoEndSystems +
+                      "vl v2 src=e1 dst=e2 bag=4000 smin=64 smax=4294967796\n",
+                  {"line 8: ", "'smax'", "4294967796", "out of range"});
+}
+
+TEST(Serialization, FractionalSmaxRejectedAndNamed) {
+  expect_rejected(kTwoEndSystems +
+                      "vl v2 src=e1 dst=e2 bag=4000 smin=64 smax=100.5\n",
+                  {"line 8: ", "'smax'", "'100.5'"});
+}
+
+TEST(Serialization, FractionalSminRejectedAndNamed) {
+  expect_rejected(kTwoEndSystems +
+                      "vl v2 src=e1 dst=e2 bag=4000 smin=64.5 smax=500\n",
+                  {"line 8: ", "'smin'", "'64.5'"});
+}
+
+TEST(Serialization, NegativeSminRejectedAndNamed) {
+  expect_rejected(kTwoEndSystems +
+                      "vl v2 src=e1 dst=e2 bag=4000 smin=-64 smax=500\n",
+                  {"line 8: ", "'smin'", "'-64'"});
+}
+
+TEST(Serialization, PriorityBeyondAByteRejectedAndNamed) {
+  expect_rejected(kTwoEndSystems +
+                      "vl v2 src=e1 dst=e2 bag=4000 smin=64 smax=500 prio=256\n",
+                  {"line 8: ", "'prio'", "256", "out of range (0..255)"});
+}
+
+TEST(Serialization, NegativePriorityRejectedAndNamed) {
+  expect_rejected(kTwoEndSystems +
+                      "vl v2 src=e1 dst=e2 bag=4000 smin=64 smax=500 prio=-1\n",
+                  {"line 8: ", "'prio'", "'-1'"});
+}
+
+TEST(Serialization, IntegerAttributesAtTheirLimitsLoad) {
+  const TrafficConfig cfg = load_config_string(
+      kTwoEndSystems + "vl v2 src=e1 dst=e2 bag=4000 smin=1518 smax=1518 prio=255\n");
+  EXPECT_EQ(cfg.vl(1).s_max, 1518u);
+  EXPECT_EQ(cfg.vl(1).priority, 255);
+}
+
 // Whole-network checks are not caused by one line and carry none.
 TEST(Serialization, WholeNetworkErrorsCarryNoLine) {
   try {

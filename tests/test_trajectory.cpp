@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,6 +21,9 @@
 #include "config/samples.hpp"
 #include "gen/industrial.hpp"
 #include "netcalc/netcalc_analyzer.hpp"
+#include "obs/counters.hpp"
+#include "trajectory/prefix_cache.hpp"
+#include "trajectory/slot_table.hpp"
 #include "trajectory/sweep.hpp"
 
 namespace afdx::trajectory {
@@ -485,6 +490,158 @@ TEST(TrajectorySweep, BranchAndBoundMatchesScalarOnRandomColumns) {
   EXPECT_LT(evaluations[0], total);
   EXPECT_GT(evaluations[1], 0u);
   EXPECT_LT(evaluations[1], total);
+}
+
+// --- Slot table and shared prefix store --------------------------------------
+
+TrafficConfig two_domain_config(std::uint64_t seed) {
+  gen::IndustrialOptions o;
+  o.seed = seed;
+  o.domains = 2;
+  o.vl_count = 600;
+  return gen::industrial_config(o);
+}
+
+// Every row describes its crossing as the configuration does, and the
+// best-case arrival column equals the backwards chain walk over
+// VlRoute::predecessor bit for bit.
+TEST(TrajectorySlotTable, RowsMatchTheConfiguration) {
+  for (const TrafficConfig& cfg :
+       {config::sample_config(), two_domain_config(3)}) {
+    const SlotTable table(cfg);
+    const Network& net = cfg.network();
+    std::size_t crossings = 0;
+    for (LinkId l = 0; l < net.link_count(); ++l) {
+      crossings += cfg.vls_on_link(l).size();
+      for (VlId v : cfg.vls_on_link(l)) {
+        const Slot s = table.find(v, l);
+        ASSERT_NE(s, kNoSlot);
+        ASSERT_GE(s, table.begin(l));
+        ASSERT_LT(s, table.end(l));
+        const FlowAtLink& f = table[s];
+        const VlRoute& route = cfg.route(v);
+        EXPECT_EQ(f.id, v);
+        EXPECT_EQ(f.pred, route.predecessor(l));
+        EXPECT_EQ(f.pred_slot, f.pred == kInvalidLink
+                                   ? kNoSlot
+                                   : table.find(v, f.pred));
+        EXPECT_EQ(f.c, cfg.vl(v).max_transmission_time(net.link(l).rate));
+        Microseconds walk = 0.0;
+        for (LinkId cur = l; route.predecessor(cur) != kInvalidLink;
+             cur = route.predecessor(cur)) {
+          const LinkId pred = route.predecessor(cur);
+          walk += cfg.vl(v).min_transmission_time(net.link(pred).rate);
+          walk += net.link(cur).latency;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(f.min_arrival),
+                  std::bit_cast<std::uint64_t>(walk));
+      }
+    }
+    EXPECT_EQ(table.size(), crossings);
+    EXPECT_EQ(table.find(0, static_cast<LinkId>(net.link_count())), kNoSlot);
+    EXPECT_EQ(table.find(static_cast<VlId>(cfg.vl_count()), 0), kNoSlot);
+  }
+}
+
+TEST(PrefixCache, StoreLookupSeedPeekAndCounters) {
+  const TrafficConfig cfg = config::sample_config();
+  auto table = std::make_shared<const SlotTable>(cfg);
+  auto scope = std::make_shared<obs::Registry>();
+  PrefixCache store(table, scope);
+  EXPECT_EQ(store.size(), 0u);
+  const VlId v = *cfg.find_vl("v2");
+  const LinkId last = cfg.path(PathRef{v, 0}).links.back();
+  const Slot s = table->find(v, last);
+  EXPECT_FALSE(store.lookup(s).has_value());
+  EXPECT_FALSE(store.peek(v, last).has_value());
+
+  store.store(s, 272.0);
+  EXPECT_EQ(store.lookup(s), 272.0);
+  EXPECT_EQ(store.peek(v, last), 272.0);
+  EXPECT_EQ(store.size(), 1u);
+
+  // seed overwrites and counts; a pair the table does not index is ignored
+  // (peek answers nullopt for it).
+  store.seed(v, last, 271.0);
+  EXPECT_EQ(store.peek(v, last), 271.0);
+  const LinkId first = cfg.path(PathRef{v, 0}).links.front();
+  store.seed(v, first, 10.0);
+  const LinkId foreign = static_cast<LinkId>(cfg.network().link_count());
+  store.seed(v, foreign, 1.0);
+  EXPECT_FALSE(store.peek(v, foreign).has_value());
+  EXPECT_EQ(store.size(), 2u);
+
+  // 0.0 and -0.0 are bounds, not "absent".
+  const Slot other = table->find(v, first);
+  store.store(other, -0.0);
+  ASSERT_TRUE(store.lookup(other).has_value());
+  EXPECT_TRUE(std::signbit(*store.lookup(other)));
+
+  store.count(5, 3);
+  store.count(1, 0);
+  const PrefixCacheStats stats = prefix_cache_stats(*scope);
+  EXPECT_EQ(stats.hits, 6u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.seeded, 2u);
+
+  // A store without a scope counts nowhere but still stores.
+  PrefixCache quiet(table, nullptr);
+  quiet.seed(v, last, 5.0);
+  quiet.count(1, 1);
+  EXPECT_EQ(quiet.peek(v, last), 5.0);
+}
+
+// Writers racing on the same slots publish identical bits, and every
+// concurrent reader sees either no bound or the full value, never a torn
+// or foreign one (run under TSan by scripts/check_tsan.sh).
+TEST(PrefixCache, ConcurrentWritersAndReadersAgree) {
+  const TrafficConfig cfg = two_domain_config(5);
+  auto table = std::make_shared<const SlotTable>(cfg);
+  PrefixCache store(table, nullptr);
+  const auto value = [](Slot s) { return 1.0 + static_cast<double>(s) * 0.25; };
+  const Slot n = static_cast<Slot>(table->size());
+  std::atomic<std::size_t> bad{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (Slot k = 0; k < n; ++k) {
+        const Slot s = (k + static_cast<Slot>(t) * (n / 4)) % n;
+        if (const auto got = store.lookup(s); got.has_value()) {
+          if (*got != value(s)) bad.fetch_add(1);
+        } else {
+          store.store(s, value(s));
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(store.size(), table->size());
+  for (Slot s = 0; s < n; ++s) EXPECT_EQ(store.lookup(s), value(s));
+}
+
+// Analyzers over one shared store give the bounds a standalone analyzer
+// gives, each counts its own local and shared hits, and the second one
+// recomputes nothing the first already published.
+TEST(Trajectory, AnalyzersSharingOneStoreMatchAStandaloneAnalyzer) {
+  const TrafficConfig cfg = two_domain_config(9);
+  const Result reference = analyze(cfg);
+  auto store = std::make_shared<PrefixCache>(
+      std::make_shared<const SlotTable>(cfg), nullptr);
+  Analyzer first(cfg, Options{}, store);
+  Analyzer second(cfg, Options{}, store);
+  const Result a = first.analyze();
+  const Result b = second.analyze();
+  ASSERT_EQ(a.path_bounds.size(), reference.path_bounds.size());
+  for (std::size_t i = 0; i < a.path_bounds.size(); ++i) {
+    EXPECT_EQ(a.path_bounds[i], reference.path_bounds[i]) << "path " << i;
+    EXPECT_EQ(b.path_bounds[i], reference.path_bounds[i]) << "path " << i;
+  }
+  EXPECT_EQ(first.counters().shared_hits, 0u);
+  EXPECT_GT(first.counters().local_hits, 0u);
+  EXPECT_EQ(second.counters().shared_hits + second.counters().local_hits,
+            second.counters().lookups);
+  EXPECT_GT(second.counters().shared_hits, 0u);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 // workers the schedule decides how many prefixes the shards recompute)
 // and compares the deltas of four root-registry counters for exact
 // equality: WCNC ports computed, trajectory prefixes computed, and the
-// segment and candidate sums over those prefixes. The cold runs also pin
+// segment and candidate sums over those prefixes. Slot tables built are
+// pinned per engine at 1 and 4 threads. The cold runs also pin
 // trajectory.sweep.evaluations, the candidates the sweep evaluated
 // exactly, under each sweep kernel forced in turn. A change that moves any
 // of them re-pins the table and says why in its description; a cost
@@ -127,6 +128,33 @@ TEST(WorkCounters, ColdAndRepeatRunsArePinned) {
                 c.evaluations[simd ? 1 : 0]);
       EXPECT_EQ(work_of(run), c.repeat);
     }
+  }
+}
+
+// The trajectory's configuration-only data is built once per engine and
+// shared by its shards: one slot table for a cold run whatever the thread
+// count, none for a repeat run, a run under other trajectory options or a
+// WCNC-only call.
+TEST(WorkCounters, OneSlotTablePerEngine) {
+  obs::Counter& tables = obs::registry().counter("trajectory.slot_tables");
+  const auto built_by = [&](const std::function<void()>& step) {
+    const std::uint64_t before = tables.value();
+    step();
+    return tables.value() - before;
+  };
+  const TrafficConfig cfg = generated(1, 4, 2000);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    AnalysisEngine eng(cfg, Options{threads});
+    EXPECT_EQ(built_by([&] { (void)eng.netcalc_only(); }), 0u);
+    const auto run = [&] {
+      (void)eng.run_streaming([](const StreamPathResult&) {});
+    };
+    EXPECT_EQ(built_by(run), 1u);
+    EXPECT_EQ(built_by(run), 0u);
+    trajectory::Options other;
+    other.loose_boundary_packet = true;
+    EXPECT_EQ(built_by([&] { (void)eng.trajectory_only(other); }), 0u);
   }
 }
 

@@ -76,7 +76,9 @@
 //                                              (chrome://tracing, Perfetto)
 //
 // Exit status (see also --help and the README):
-//   0  success -- every requested figure was computed;
+//   0  success -- every path has a bound (with --method=all, a method that
+//      failed on a path another method still bounds is reported in a
+//      status column, as --partial and --stream do);
 //   1  internal error (unexpected exception);
 //   2  usage / parse error (bad flags, malformed config file);
 //   3  partial results (contained failures, deadline or cancellation);
@@ -536,10 +538,23 @@ int run(const CliOptions& opts) {
   std::optional<netcalc::Result> nc;
   std::optional<std::vector<Microseconds>> tj;
   std::optional<sfa::Result> sf;
+  // Per-path statuses when both analyses ran: a path one method still
+  // bounds is reported with its degradation message, as --partial and
+  // --stream do; a path no method bounds fails the run.
+  std::vector<engine::PathStatus> status;
   if (want_nc && want_tj) {
-    engine::RunResult r = eng.run(opts.nc, opts.tj);
+    engine::RunResult r = eng.run_resilient(opts.nc, opts.tj);
+    for (const engine::PathStatus& s : r.status) {
+      if (!s.ok()) throw Error(s.message);
+    }
     nc = std::move(r.netcalc_result);
     tj = std::move(r.trajectory);
+    if (std::any_of(r.status.begin(), r.status.end(),
+                    [](const engine::PathStatus& s) {
+                      return !s.message.empty();
+                    })) {
+      status = std::move(r.status);
+    }
   } else {
     if (want_nc || opts.ports) nc = eng.netcalc_only(opts.nc);
     if (want_tj) tj = eng.trajectory_only(opts.tj);
@@ -551,6 +566,7 @@ int run(const CliOptions& opts) {
   if (want_tj) headers.push_back("trajectory_us");
   if (want_sfa) headers.push_back("sfa_us");
   if (want_nc && want_tj) headers.push_back("combined_us");
+  if (!status.empty()) headers.push_back("status");
   report::Table table(headers);
 
   std::vector<Microseconds> reported(config.all_paths().size(), 0.0);
@@ -566,7 +582,7 @@ int run(const CliOptions& opts) {
       best = std::min(best, nc->path_bounds[i]);
     }
     if (want_tj) {
-      row.push_back(report::fmt((*tj)[i]));
+      row.push_back(fmt_bound((*tj)[i]));
       best = std::min(best, (*tj)[i]);
     }
     if (want_sfa) {
@@ -574,6 +590,9 @@ int run(const CliOptions& opts) {
       best = std::min(best, sf->path_bounds[i]);
     }
     if (want_nc && want_tj) row.push_back(report::fmt(best));
+    if (!status.empty()) {
+      row.push_back(status_cell(status[i].state, status[i].message));
+    }
     reported[i] = best;
     table.add_row(std::move(row));
   }
